@@ -24,13 +24,12 @@ BAR = 40
 
 
 def main():
-    cfg = default_source_config(seed=2)
+    cfg = default_source_config()
     us = 1e-6
     print(f"Source: t_c = {cfg.t_c/us:.0f} us, dwells in [{cfg.t_min/us:.0f}, "
           f"{cfg.t_max/us:.0f}] us, unit amplitude\n")
 
-    rng = np.random.default_rng(cfg.seed)
-    draws = sample_dwell(cfg, rng.random(200_000))
+    draws = sample_dwell(cfg, np.random.default_rng(1).random(200_000))
     print(f"dwell mean: sampled {np.mean(draws)/us:.3f} us vs analytic "
           f"{truncated_dwell_mean(cfg)/us:.3f} us")
     print("dwell histogram vs renormalized exponential density:")
@@ -45,7 +44,7 @@ def main():
         print(f"  {lo/us:5.1f}-{hi/us:5.1f} us  seen {seen:.4f}  expect {expect:.4f}  {bar}")
     print()
 
-    trace = generate_trace(cfg, 2e-2, 1e-7)
+    trace = generate_trace(cfg, 2e-2, 1e-7, np.random.default_rng(2))
     intensity = np.abs(trace.samples) ** 2
     print(f"intensity of the trace: mean {intensity.mean():.6f}, relative std "
           f"{intensity.std()/intensity.mean():.2e}  (pure phase noise)\n")
@@ -57,7 +56,7 @@ def main():
         print(f"  tau = {k} t_c   |g1| = {mag:.4f}  {'#' * int(round(BAR * mag))}")
     print()
 
-    other = generate_trace(default_source_config(seed=3), 2e-2, 1e-7)
+    other = generate_trace(cfg, 2e-2, 1e-7, np.random.default_rng(3))
     cross = abs(np.mean(trace.samples.conj() * other.samples))
     print(f"two independent sources: |<conj(E1) E2>| = {cross:.4f}  (incoherent)")
 

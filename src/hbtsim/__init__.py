@@ -24,7 +24,6 @@ from .correlate import (
     g2_cross,
     g2_delay_scan,
     g2_self,
-    save_correlations,
 )
 from .errors import (
     ConfigError,
@@ -38,12 +37,10 @@ from .errors import (
 )
 from .oracle import (
     AuditTerm,
-    Prediction,
     audit_survivor_sum,
     predict_g2_cross,
     predict_g2_self,
     predict_intensity,
-    predict_setup,
     solid_angle_of_setup,
     term_audit,
 )
@@ -72,10 +69,8 @@ from .source import (
     default_source_config,
     first_order_coherence,
     generate_trace,
-    load_field_trace,
     phase_jump_process,
     sample_dwell,
-    save_field_trace,
     truncated_dwell_mean,
 )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvutil import fmt_float as _fmt
-from .csvutil import parse_dt_header
+from .csvutil import parse_dt_header, write_csv
 from .errors import IncompatibleTracesError, TraceFormatError
 from .source import FieldTrace
 
@@ -121,11 +121,11 @@ def mean_intensity(traces: DetectorTraces, which: int) -> float:
 
 
 def save_detector_traces(traces: DetectorTraces, path) -> None:
-    lines = [f"# dt={_fmt(traces.dt)}"]
-    lines.extend(f"{_fmt(a)},{_fmt(b)}" for a, b in zip(traces.i3, traces.i4))
-    lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    write_csv(
+        path,
+        f"# dt={_fmt(traces.dt)}",
+        (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(traces.i3, traces.i4)),
+    )
 
 
 def load_detector_traces(path) -> DetectorTraces:
@@ -135,6 +135,7 @@ def load_detector_traces(path) -> DetectorTraces:
         raise TraceFormatError(1, "empty file")
     dt = parse_dt_header(lines[0], 1)
     i3_parts, i4_parts = [], []
+    inf = math.inf
     for i, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):
             continue
@@ -145,13 +146,10 @@ def load_detector_traces(path) -> DetectorTraces:
             a, b = float(cells[0]), float(cells[1])
         except ValueError:
             raise TraceFormatError(i, f"unparseable number in {line!r}") from None
-        if a < 0.0 or b < 0.0:
-            raise TraceFormatError(i, f"negative intensity in {line!r}")
+        if not (0.0 <= a < inf and 0.0 <= b < inf):
+            raise TraceFormatError(i, f"intensities must be finite and >= 0, got {line!r}")
         i3_parts.append(a)
         i4_parts.append(b)
     if not i3_parts:
         raise TraceFormatError(len(lines), "no samples")
-    try:
-        return DetectorTraces(dt=dt, i3=np.array(i3_parts), i4=np.array(i4_parts))
-    except ValueError as exc:
-        raise TraceFormatError(len(lines), str(exc)) from None
+    return DetectorTraces(dt=dt, i3=np.array(i3_parts), i4=np.array(i4_parts))

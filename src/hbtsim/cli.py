@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -20,6 +21,7 @@ import numpy as np
 from .bench import BenchConfig, load_detector_traces, save_detector_traces
 from .correlate import g2_delay_scan
 from .csvutil import fmt_float as _fmt
+from .csvutil import write_csv
 from .errors import ConfigError
 from .oracle import (
     audit_survivor_sum,
@@ -29,7 +31,7 @@ from .oracle import (
     term_audit,
 )
 from .pipeline import PointEstimates, estimate_point, simulate_detectors
-from .source import PhaseNoiseConfig
+from .source import PhaseNoiseConfig, default_source_config
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,7 @@ class RunConfig:
 
 def default_run_config() -> RunConfig:
     return RunConfig(
-        source=PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0, seed=12345),
+        source=default_source_config(),
         bench=BenchConfig(phi3=0.0, phi4=0.5 * math.pi, phi_d=0.0, balance=1.0),
         sim=SimConfig(),
         sweep=SweepConfig(),
@@ -104,7 +106,7 @@ _ANGLE_KEYS = {
     "bench.phi3", "bench.phi4", "bench.phi_d",
     "sweep.phi34_start", "sweep.phi34_end",
 }
-_INT_KEYS = {"source.seed", "sim.seed", "sim.repeats", "sweep.phi34_steps", "sweep.tau_steps"}
+_INT_KEYS = {"sim.seed", "sim.repeats", "sweep.phi34_steps", "sweep.tau_steps"}
 
 
 def parse_angle(text: str, field: str = "angle") -> float:
@@ -181,16 +183,7 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-# --- output helpers ----------------------------------------------------------
-
-
-def _write_csv(path, columns: list[str], rows: list[list[str]]) -> None:
-    lines = ["# columns: " + ",".join(columns)]
-    lines.extend(",".join(cells) for cells in rows)
-    lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-
+# --- sweep --------------------------------------------------------------------
 
 SWEEP_COLUMNS = [
     "phi34_rad", "tau_s",
@@ -217,6 +210,12 @@ def _sweep_point_job(job: tuple[RunConfig, int, float, tuple[float, ...]]) -> Po
     )
 
 
+def pool_workers(requested: int, n_jobs: int, n_cpus: int | None) -> int:
+    """Worker processes to start: a fork pool starts all of them at the first
+    submit, so never more than there are jobs or CPUs."""
+    return min(requested, n_jobs, n_cpus or 1)
+
+
 def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
     """All sweep points, in grid order regardless of worker scheduling."""
     phi34s, taus = sweep_grids(cfg)
@@ -224,6 +223,7 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
         (cfg, i, float(phi34), tuple(float(t) for t in taus))
         for i, phi34 in enumerate(phi34s)
     ]
+    workers = pool_workers(workers, len(jobs), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point_job, jobs))
@@ -261,7 +261,8 @@ def cmd_simulate(cfg: RunConfig, out_path) -> None:
 
 def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
     points = run_sweep(cfg, workers)
-    _write_csv(out_path, SWEEP_COLUMNS, sweep_rows(cfg, points))
+    rows = sweep_rows(cfg, points)
+    write_csv(out_path, "# columns: " + ",".join(SWEEP_COLUMNS), map(",".join, rows))
 
 
 def cmd_analyze(trace_path, taus, kinds: list[str], out_path) -> None:
@@ -281,8 +282,8 @@ def cmd_analyze(trace_path, taus, kinds: list[str], out_path) -> None:
             r = scans[kind][it]
             cells += [_fmt(r.value), _fmt(r.std_error)]
         cells += [_fmt(i3_mean), _fmt(i4_mean)]
-        rows.append(cells)
-    _write_csv(out_path, columns, rows)
+        rows.append(",".join(cells))
+    write_csv(out_path, "# columns: " + ",".join(columns), rows)
 
 
 def predict_report(phi3: float, phi4: float, phi_d: float) -> str:

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .bench import DetectorTraces
-from .csvutil import fmt_float as _fmt
 from .errors import InsufficientDataError, OffGridDelayError
 
 SCAN_KINDS = ("cross", "self3", "self4")
@@ -79,12 +78,18 @@ def _g2(x: np.ndarray, y: np.ndarray, dt: float, tau: float, n_batches: int) -> 
         )
     xw = x[:n]
     yw = y[k : k + n]
-    value = _normalized_product_mean(xw, yw)
     m = n // n_batches
     xb = xw[: m * n_batches].reshape(n_batches, m)
     yb = yw[: m * n_batches].reshape(n_batches, m)
     bmx = xb.mean(axis=1, keepdims=True)
     bmy = yb.mean(axis=1, keepdims=True)
+    # Positive batch means imply a positive window mean, so the check covers
+    # every division below.
+    if not (bmx.min() > 0.0 and bmy.min() > 0.0):
+        raise InsufficientDataError(
+            f"zero mean intensity in a batch of the overlap window at tau={tau!r}"
+        )
+    value = _normalized_product_mean(xw, yw)
     batch_vals = 1.0 + ((xb - bmx) * (yb - bmy)).mean(axis=1) / (bmx * bmy)[:, 0]
     std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
     return CorrelationResult(value=value, tau=k * dt, n_samples=n, std_error=std_error)
@@ -120,15 +125,3 @@ def g2_delay_scan(
     if kind == "self4":
         return [g2_self(traces, 4, tau, n_batches) for tau in taus]
     raise ValueError(f"unknown scan kind {kind!r}; expected one of {SCAN_KINDS}")
-
-
-def save_correlations(path, rows: Sequence[tuple[str, CorrelationResult]]) -> None:
-    """Write (kind, result) rows as CSV: tau_s,kind,value,std_error,n_samples."""
-    lines = ["# columns: tau_s,kind,value,std_error,n_samples"]
-    for kind, r in rows:
-        lines.append(
-            f"{_fmt(r.tau)},{kind},{_fmt(r.value)},{_fmt(r.std_error)},{r.n_samples}"
-        )
-    lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))

@@ -1,8 +1,14 @@
-"""Shared bits of the CSV trace/results formats."""
+"""The CSV format of trace and results files.
+
+UTF-8, LF line endings, one ``#`` header line, then one row per line and a
+trailing newline.  Floats are written in shortest round-trip form, so
+rereading a file reproduces the exact binary values.
+"""
 
 from __future__ import annotations
 
 import math
+from typing import Iterable
 
 from .errors import TraceFormatError
 
@@ -10,6 +16,15 @@ from .errors import TraceFormatError
 def fmt_float(x: float) -> str:
     """Shortest decimal form that round-trips to the same binary value."""
     return repr(float(x))
+
+
+def write_csv(path, header: str, rows: Iterable[str]) -> None:
+    """Write the ``header`` line, then each already joined row."""
+    lines = [header]
+    lines.extend(rows)
+    lines.append("")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
 
 
 def parse_dt_header(line: str, line_number: int) -> float:

@@ -26,25 +26,6 @@ from .bench import EPSILON_3, EPSILON_4
 from .poincare import _wrap_pm_two_pi, linear_state, projector_of
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Bundle of the closed-form zero-delay observables for one setup."""
-
-    g2_cross_zero_tau: float
-    g2_self_zero_tau: float
-    intensity_i: float
-    omega: float
-    phi_g: float
-
-    def __post_init__(self):
-        if not (0.5 <= self.g2_cross_zero_tau <= 1.5):
-            raise ValueError("g2_cross_zero_tau out of [0.5, 1.5]")
-        if not (0.5 <= self.g2_self_zero_tau <= 1.5):
-            raise ValueError("g2_self_zero_tau out of [0.5, 1.5]")
-        if abs(self.phi_g - self.omega / 2.0) > 1e-12:
-            raise ValueError("phi_g must equal omega/2")
-
-
 def solid_angle_of_setup(phi3: float, phi4: float) -> float:
     """Solid angle 4*(phi4 - phi3) of the polariser lune, in (-2*pi, 2*pi].
 
@@ -77,24 +58,6 @@ def predict_intensity(i1_mean: float, i2_mean: float) -> float:
     if i1_mean < 0.0 or i2_mean < 0.0:
         raise ValueError("intensities must be nonnegative")
     return 0.25 * (i1_mean + i2_mean)
-
-
-def predict_setup(
-    phi3: float,
-    phi4: float,
-    phi_d: float = 0.0,
-    i1_mean: float = 1.0,
-    i2_mean: float = 1.0,
-) -> Prediction:
-    """All closed-form observables for one polariser/phase setting."""
-    omega = solid_angle_of_setup(phi3, phi4)
-    return Prediction(
-        g2_cross_zero_tau=predict_g2_cross(phi_d, omega),
-        g2_self_zero_tau=predict_g2_self(phi_d),
-        intensity_i=predict_intensity(i1_mean, i2_mean),
-        omega=omega,
-        phi_g=omega / 2.0,
-    )
 
 
 @dataclass(frozen=True)

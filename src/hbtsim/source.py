@@ -17,34 +17,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvutil import fmt_float as _fmt
-from .csvutil import parse_dt_header
-from .errors import InsufficientOverlapError, SamplingTooCoarseError, TraceFormatError
+from .errors import InsufficientOverlapError, SamplingTooCoarseError
 
 
 @dataclass(frozen=True)
 class PhaseNoiseConfig:
-    """Dwell-time scale t_c, truncation bounds [t_min, t_max] (seconds),
-    field amplitude and RNG seed."""
+    """Dwell-time scale t_c, truncation bounds [t_min, t_max] (seconds) and
+    field amplitude."""
 
     t_c: float
     t_min: float
     t_max: float
     amplitude: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.t_min < self.t_c < self.t_max):
             raise ValueError("require 0 < t_min < t_c < t_max")
         if not (self.amplitude > 0.0):
             raise ValueError("amplitude must be > 0")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit non-negative integer")
 
 
-def default_source_config(seed: int = 0) -> PhaseNoiseConfig:
+def default_source_config() -> PhaseNoiseConfig:
     """The bench-scale defaults: t_c = 10 us, dwells in [1 us, 100 us]."""
-    return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0, seed=seed)
+    return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,19 +94,17 @@ def truncated_dwell_mean(config: PhaseNoiseConfig) -> float:
 
 
 def phase_jump_process(
-    config: PhaseNoiseConfig, duration: float, rng: np.random.Generator | None = None
+    config: PhaseNoiseConfig, duration: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Jump times in (0, duration] and phase levels (initial phase first).
 
     ``levels[i]`` is the phase held on [jump_times[i-1], jump_times[i]); the
     initial phase ``levels[0]`` is itself uniform on [0, 2*pi).  Jumps are
     increments uniform on [0, 2*pi), so the level sequence is i.i.d. uniform
-    on the circle (mod 2*pi).  Deterministic for a given seed/stream.
+    on the circle (mod 2*pi).  Deterministic for a given stream.
     """
     if not (math.isfinite(duration) and duration > 0.0):
         raise ValueError("duration must be positive and finite")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     mean_dwell = truncated_dwell_mean(config)
     chunk = int(duration / mean_dwell * 1.25) + 16
     dwells = sample_dwell(config, rng.random(chunk))
@@ -132,7 +125,7 @@ def generate_trace(
     config: PhaseNoiseConfig,
     duration: float,
     dt: float,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> FieldTrace:
     """Sample the phase-noise field on a uniform grid of period ``dt``.
 
@@ -180,37 +173,3 @@ def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     num = np.mean(head.conj() * trace.samples[k : k + n])
     den = np.mean((head.conj() * head).real)
     return complex(num / den)
-
-
-# --- CSV export/import: "# dt=<seconds>" header, then "re,im" rows ---------
-
-
-def save_field_trace(trace: FieldTrace, path) -> None:
-    lines = [f"# dt={_fmt(trace.dt)}"]
-    lines.extend(f"{_fmt(z.real)},{_fmt(z.imag)}" for z in trace.samples)
-    lines.append("")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-
-
-def load_field_trace(path) -> FieldTrace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError(1, "empty file")
-    dt = parse_dt_header(lines[0], 1)
-    re_parts, im_parts = [], []
-    for i, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise TraceFormatError(i, f"expected 're,im', got {line!r}")
-        try:
-            re_parts.append(float(cells[0]))
-            im_parts.append(float(cells[1]))
-        except ValueError:
-            raise TraceFormatError(i, f"unparseable number in {line!r}") from None
-    if not re_parts:
-        raise TraceFormatError(len(lines), "no samples")
-    return FieldTrace(dt=dt, samples=np.array(re_parts) + 1j * np.array(im_parts))

@@ -55,10 +55,8 @@ def constant_trace(value, n=64, dt=1e-7) -> FieldTrace:
 
 def test_single_source_gives_quarter_intensity():
     amp = 1.7
-    cfg = PhaseNoiseConfig(
-        t_c=SRC.t_c, t_min=SRC.t_min, t_max=SRC.t_max, amplitude=amp, seed=4
-    )
-    e1 = generate_trace(cfg, 2e-4, 1e-7)
+    cfg = PhaseNoiseConfig(t_c=SRC.t_c, t_min=SRC.t_min, t_max=SRC.t_max, amplitude=amp)
+    e1 = generate_trace(cfg, 2e-4, 1e-7, np.random.default_rng(4))
     e2 = constant_trace(0.0, n=len(e1.samples))
     out = propagate(e1, e2, BenchConfig(phi3=0.3, phi4=1.1))
     assert np.max(np.abs(out.i3 - amp ** 2 / 4)) < 1e-12 * amp ** 2
@@ -205,9 +203,14 @@ def test_detector_csv_errors(tmp_path):
     path.write_text("# dt=1e-07\n0.1,0.2,0.3\n")
     with pytest.raises(TraceFormatError, match="line 2"):
         load_detector_traces(path)
-    path.write_text("# dt=1e-07\n0.1,0.2\n0.1,-0.2\n")
-    with pytest.raises(TraceFormatError, match="line 3"):
+    path.write_text("# dt=1e-07\n0.1,zap\n")
+    with pytest.raises(TraceFormatError, match="line 2"):
         load_detector_traces(path)
+    # a bad value names its own line, not the last line of the file
+    for bad in ("0.1,-0.2", "nan,0.2", "0.1,inf", "-inf,0.2"):
+        path.write_text(f"# dt=1e-07\n0.1,0.2\n{bad}\n0.1,0.2\n0.1,0.2\n")
+        with pytest.raises(TraceFormatError, match="line 3"):
+            load_detector_traces(path)
 
 
 def test_detector_traces_validation():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hbtsim.cli import (
     main,
     parse_angle,
     parse_config_file,
+    pool_workers,
     sweep_grids,
 )
 from hbtsim.correlate import g2_cross
@@ -64,6 +66,13 @@ def test_parse_config_rejects_unknown_key(tmp_path):
     path.write_text("bench.phi5 = 1.0\n")
     with pytest.raises(ConfigError, match="bench.phi5"):
         parse_config_file(path)
+
+
+def test_source_seed_key_is_rejected(tmp_path, capsys):
+    path = tmp_path / "a.cfg"
+    path.write_text("source.seed = 1\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "source.seed: unknown configuration key" in capsys.readouterr().err
 
 
 def test_config_invariants_name_fields(tmp_path, capsys):
@@ -137,6 +146,14 @@ def test_sweep_reruns_and_workers_byte_identical(tmp_path, small_cfg_path):
     blob = outs[0].read_bytes()
     assert outs[1].read_bytes() == blob
     assert outs[2].read_bytes() == blob
+
+
+def test_pool_workers_bounded_by_jobs_and_cpus():
+    assert pool_workers(2, 13, 2) == 2
+    assert pool_workers(10 ** 6, 13, 64) == 13
+    assert pool_workers(10 ** 6, 13, 4) == 4
+    assert pool_workers(8, 13, None) == 1
+    assert pool_workers(1, 13, 8) == 1
 
 
 def test_sweep_tracks_oracle(zero_delay_sweep, tmp_path):
@@ -216,6 +233,19 @@ def test_analyze_off_grid_delay_is_exit_2(tmp_path, capsys):
         ["analyze", str(path), "--taus", "1.5e-7", "--out", str(tmp_path / "o.csv")]
     ) == 2
     assert "multiple of dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dark", [slice(None), slice(0, 100)], ids=["column", "one_batch"])
+def test_analyze_dark_detector_is_exit_2(tmp_path, capsys, dark):
+    i3 = np.full(2000, 0.5)
+    i3[dark] = 0.0  # 2000 samples at tau = 0 make 20 batches of 100
+    path = tmp_path / "dark.csv"
+    save_detector_traces(DetectorTraces(dt=1e-7, i3=i3, i4=np.full(2000, 0.5)), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", str(path), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert "zero mean intensity" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_is_exit_3(tmp_path):

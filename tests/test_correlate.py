@@ -9,7 +9,6 @@ from hbtsim.correlate import (
     g2_cross,
     g2_delay_scan,
     g2_self,
-    save_correlations,
 )
 from hbtsim.errors import InsufficientDataError, OffGridDelayError
 from hbtsim.pipeline import simulate_detectors
@@ -151,20 +150,3 @@ def test_result_validation():
         CorrelationResult(value=1.0, tau=0.0, n_samples=0, std_error=0.0)
     with pytest.raises(ValueError):
         CorrelationResult(value=1.0, tau=0.0, n_samples=5, std_error=-1.0)
-
-
-def test_save_correlations_schema(tmp_path, pipeline_traces):
-    rows = [
-        ("cross", g2_cross(pipeline_traces, 0.0)),
-        ("self4", g2_self(pipeline_traces, 4, T_C)),
-    ]
-    path = tmp_path / "results.csv"
-    save_correlations(path, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# columns: tau_s,kind,value,std_error,n_samples"
-    cells = lines[1].split(",")
-    assert cells[1] == "cross"
-    assert float(cells[0]) == 0.0
-    assert float(cells[2]) == rows[0][1].value
-    assert int(cells[4]) == rows[0][1].n_samples
-    assert lines[2].split(",")[1] == "self4"

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from hbtsim.oracle import (
-    Prediction,
     audit_survivor_sum,
     predict_g2_cross,
     predict_g2_self,
     predict_intensity,
-    predict_setup,
     solid_angle_of_setup,
     term_audit,
 )
@@ -92,23 +90,6 @@ def test_cross_plus_self_is_two_at_zero_solid_angle():
     for phi_d in np.linspace(-7, 7, 41):
         assert predict_g2_cross(phi_d, 0.0) + predict_g2_self(phi_d) == pytest.approx(
             2.0, abs=1e-12
-        )
-
-
-def test_prediction_bundle():
-    pred = predict_setup(0.0, math.pi / 2, 0.0)
-    assert pred.omega == pytest.approx(2 * math.pi, abs=1e-12)
-    assert pred.phi_g == pytest.approx(math.pi, abs=1e-12)
-    assert pred.g2_cross_zero_tau == pytest.approx(1.5, abs=1e-12)
-    assert pred.g2_self_zero_tau == pytest.approx(1.5, abs=1e-12)
-    assert pred.intensity_i == pytest.approx(0.5, abs=1e-15)
-    with pytest.raises(ValueError):
-        Prediction(
-            g2_cross_zero_tau=1.0,
-            g2_self_zero_tau=1.0,
-            intensity_i=0.5,
-            omega=1.0,
-            phi_g=0.9,
         )
 
 

@@ -4,21 +4,15 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hbtsim.errors import (
-    InsufficientOverlapError,
-    SamplingTooCoarseError,
-    TraceFormatError,
-)
+from hbtsim.errors import InsufficientOverlapError, SamplingTooCoarseError
 from hbtsim.source import (
     FieldTrace,
     PhaseNoiseConfig,
     default_source_config,
     first_order_coherence,
     generate_trace,
-    load_field_trace,
     phase_jump_process,
     sample_dwell,
-    save_field_trace,
     truncated_dwell_mean,
 )
 
@@ -41,8 +35,6 @@ def test_config_invariants():
         PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=5e-6)  # t_max < t_c
     with pytest.raises(ValueError):
         PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=1e-4, amplitude=0.0)
-    with pytest.raises(ValueError):
-        PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=1e-4, seed=-1)
 
 
 def test_sample_dwell_endpoints():
@@ -100,18 +92,14 @@ def test_jump_phases_uniform_ks():
 
 
 def test_trace_modulus_and_determinism():
-    cfg = PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5, seed=8)
-    a = generate_trace(cfg, 2e-3, 1e-7)
-    b = generate_trace(cfg, 2e-3, 1e-7)
+    cfg = PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5)
+    a = generate_trace(cfg, 2e-3, 1e-7, np.random.default_rng(8))
+    b = generate_trace(cfg, 2e-3, 1e-7, np.random.default_rng(8))
     assert np.array_equal(a.samples, b.samples)
     assert len(a.samples) == 20000
     mods = np.abs(a.samples)
     assert np.max(np.abs(mods - cfg.amplitude)) < 1e-12 * cfg.amplitude
-    other = generate_trace(
-        PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5, seed=9),
-        2e-3,
-        1e-7,
-    )
+    other = generate_trace(cfg, 2e-3, 1e-7, np.random.default_rng(9))
     assert not np.array_equal(a.samples, other.samples)
 
 
@@ -127,14 +115,15 @@ def test_trace_intensity_is_flat():
 
 def test_generate_rejects_coarse_dt():
     with pytest.raises(SamplingTooCoarseError):
-        generate_trace(CFG, 2e-3, 2 * CFG.t_min)
+        generate_trace(CFG, 2e-3, 2 * CFG.t_min, np.random.default_rng(0))
 
 
 def test_generate_warns_on_marginal_settings():
+    rng = np.random.default_rng(0)
     with pytest.warns(UserWarning):
-        generate_trace(CFG, 2e-3, CFG.t_min / 2)  # dt above t_min/4
+        generate_trace(CFG, 2e-3, CFG.t_min / 2, rng)  # dt above t_min/4
     with pytest.warns(UserWarning):
-        generate_trace(CFG, 50 * T_C, 1e-7)  # short record
+        generate_trace(CFG, 50 * T_C, 1e-7, rng)  # short record
 
 
 def test_g1_zero_delay_is_exactly_one():
@@ -177,31 +166,6 @@ def test_independent_seeds_are_incoherent():
     short = np.mean([cross_coherence(500 * T_C, 10 + k, 40 + k) for k in range(5)])
     long = np.mean([cross_coherence(8000 * T_C, 10 + k, 40 + k) for k in range(5)])
     assert long < short
-
-
-def test_field_trace_csv_roundtrip(tmp_path):
-    trace = generate_trace(CFG, 1e-4, 1e-7, np.random.default_rng(21))
-    path = tmp_path / "trace.csv"
-    save_field_trace(trace, path)
-    text = path.read_text()
-    assert text.startswith("# dt=1e-07\n")
-    assert "\r" not in text
-    back = load_field_trace(path)
-    assert back.dt == trace.dt
-    assert np.array_equal(back.samples, trace.samples)
-
-
-def test_field_trace_csv_errors(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("0.1,0.2\n")
-    with pytest.raises(TraceFormatError, match="line 1"):
-        load_field_trace(path)
-    path.write_text("# dt=1e-07\n0.1,0.2\n0.3\n")
-    with pytest.raises(TraceFormatError, match="line 3"):
-        load_field_trace(path)
-    path.write_text("# dt=1e-07\n0.1,zap\n")
-    with pytest.raises(TraceFormatError, match="line 2"):
-        load_field_trace(path)
 
 
 def test_field_trace_validation():
