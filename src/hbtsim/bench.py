@@ -74,19 +74,24 @@ class DetectorTraces:
     def __len__(self) -> int:
         return len(self.i3)
 
+    def series(self, which: int) -> np.ndarray:
+        """The intensity series of detector ``which`` (3 or 4)."""
+        if which == 3:
+            return self.i3
+        if which == 4:
+            return self.i4
+        raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
+
 
 def propagate(
     e1: FieldTrace,
     e2: FieldTrace,
     config: BenchConfig,
-    polarizers: bool = True,
 ) -> DetectorTraces:
     """Push two source traces through the bench, sample by sample.
 
     ``config.balance`` scales the source-2 intensity before the bench so
-    that <I2>/<I1> = balance for equal-amplitude inputs.  ``polarizers=False``
-    replaces both P_i by the identity (test hook for the lossless part);
-    the 1/sqrt(2) splitter factors and the epsilon sign remain.
+    that <I2>/<I1> = balance for equal-amplitude inputs.
     """
     if e1.dt != e2.dt:
         raise IncompatibleTracesError(f"dt mismatch: {e1.dt!r} vs {e2.dt!r}")
@@ -98,23 +103,16 @@ def propagate(
     f2 = e2.samples * (math.sqrt(config.balance) * np.exp(1j * config.phi_d))
     intensities = []
     for phi_i, eps_i in ((config.phi3, EPSILON_3), (config.phi4, EPSILON_4)):
-        if polarizers:
-            # E_i = (1/sqrt(2)) <phi_i|v> |phi_i> with v = eps*f2|L> + f1|R>;
-            # the R/L components of |phi_i> are e^{-+i phi_i}/sqrt(2).
-            amp = 0.5 * (eps_i * f2 * np.exp(-1j * phi_i) + f1 * np.exp(1j * phi_i))
-            intensities.append(amp.real ** 2 + amp.imag ** 2)
-        else:
-            intensities.append(0.5 * ((f1.conj() * f1).real + (f2.conj() * f2).real))
+        # E_i = (1/sqrt(2)) <phi_i|v> |phi_i> with v = eps*f2|L> + f1|R>;
+        # the R/L components of |phi_i> are e^{-+i phi_i}/sqrt(2).
+        amp = 0.5 * (eps_i * f2 * np.exp(-1j * phi_i) + f1 * np.exp(1j * phi_i))
+        intensities.append(amp.real ** 2 + amp.imag ** 2)
     return DetectorTraces(dt=e1.dt, i3=intensities[0], i4=intensities[1])
 
 
 def mean_intensity(traces: DetectorTraces, which: int) -> float:
     """Time-averaged intensity at detector 3 or 4."""
-    if which == 3:
-        return float(np.mean(traces.i3))
-    if which == 4:
-        return float(np.mean(traces.i4))
-    raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
+    return float(np.mean(traces.series(which)))
 
 
 # --- CSV export/import: "# dt=<seconds>" header, then "i3,i4" rows ---------

@@ -13,13 +13,15 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .bench import BenchConfig, load_detector_traces, save_detector_traces
-from .correlate import g2_delay_scan
+from .bench import BenchConfig, DetectorTraces, mean_intensity
+from .bench import load_detector_traces, save_detector_traces
+from .correlate import SCAN_KINDS, CorrelationResult, g2_delay_scan
 from .csvutil import fmt_float as _fmt
 from .csvutil import write_csv
 from .errors import ConfigError
@@ -85,6 +87,17 @@ class RunConfig:
             raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
+        # Checked before any array exists (int/float comparisons are exact, so
+        # nothing overflows).  Bytes per item are lower bounds measured with
+        # tracemalloc: 104 per trace sample (189 in simulate), 2.3 kB per row.
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        limit = f"more than the {memory / 2 ** 30:.3g} GiB of physical memory"
+        samples = self.sim.duration / self.sim.dt
+        if samples * 100 > memory:
+            raise ConfigError("sim.duration", f"{samples:.3g} samples per trace need {limit}")
+        rows = self.sweep.phi34_steps * self.sweep.tau_steps
+        if rows * 1000 > memory:
+            raise ConfigError("sweep.phi34_steps x sweep.tau_steps", f"{rows} rows need {limit}")
 
 
 def default_run_config() -> RunConfig:
@@ -98,18 +111,13 @@ def default_run_config() -> RunConfig:
 
 # --- config file parsing ----------------------------------------------------
 
-_FLOAT_KEYS = {
-    "source.t_c", "source.t_min", "source.t_max", "source.amplitude",
-    "bench.balance", "sim.dt", "sim.duration", "sweep.tau_max",
-}
 _ANGLE_KEYS = {
     "bench.phi3", "bench.phi4", "bench.phi_d",
     "sweep.phi34_start", "sweep.phi34_end",
 }
-_INT_KEYS = {"sim.seed", "sim.repeats", "sweep.phi34_steps", "sweep.tau_steps"}
 
 
-def parse_angle(text: str, field: str = "angle") -> float:
+def parse_angle(text: str) -> float:
     """Angle in radians; a trailing ``deg`` marks degrees."""
     text = text.strip()
     try:
@@ -117,10 +125,26 @@ def parse_angle(text: str, field: str = "angle") -> float:
             return math.radians(float(text[:-3].strip()))
         return float(text)
     except ValueError:
-        raise ConfigError(field, f"unparseable angle {text!r}") from None
+        raise ConfigError("angle", f"unparseable angle {text!r}") from None
 
 
-def parse_config_file(path) -> RunConfig:
+def _config_keys() -> dict[str, Callable[[str], object]]:
+    """``section.key`` -> value parser for every field of the section
+    dataclasses (postponed annotations make ``f.type`` a string)."""
+    base = default_run_config()
+    keys = {}
+    for section in fields(base):
+        for f in fields(getattr(base, section.name)):
+            key = f"{section.name}.{f.name}"
+            keys[key] = parse_angle if key in _ANGLE_KEYS else {"int": int, "float": float}[f.type]
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
+
+
+def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunConfig:
+    """The config of a file, with ``overrides`` (parsed, by key) winning."""
     values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -132,73 +156,66 @@ def parse_config_file(path) -> RunConfig:
             key, _, text = line.partition("=")
             key = key.strip()
             text = text.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(key, "unknown configuration key")
             try:
-                if key in _FLOAT_KEYS:
-                    values[key] = float(text)
-                elif key in _ANGLE_KEYS:
-                    values[key] = parse_angle(text, key)
-                elif key in _INT_KEYS:
-                    values[key] = int(text)
-                else:
-                    raise ConfigError(key, "unknown configuration key")
-            except ValueError as exc:
-                if isinstance(exc, ConfigError):
-                    raise
+                values[key] = CONFIG_KEYS[key](text)
+            except ValueError:
                 raise ConfigError(key, f"unparseable value {text!r}") from None
-    return build_run_config(values)
+    return build_run_config({**values, **(overrides or {})})
 
 
 def build_run_config(values: dict[str, object]) -> RunConfig:
+    """The default config with ``values`` (parsed, by ``section.key``) set."""
     base = default_run_config()
-
-    def section(name: str, template):
-        overrides = {
-            key.split(".", 1)[1]: val
-            for key, val in values.items()
-            if key.startswith(name + ".")
-        }
+    sections = {}
+    for section in fields(base):
+        prefix = section.name + "."
         try:
-            return replace(template, **overrides)
+            sections[section.name] = replace(getattr(base, section.name), **{
+                key[len(prefix):]: val for key, val in values.items() if key.startswith(prefix)
+            })
         except ValueError as exc:
-            raise ConfigError(name, str(exc)) from None
-
-    cfg = RunConfig(
-        source=section("source", base.source),
-        bench=section("bench", base.bench),
-        sim=section("sim", base.sim),
-        sweep=section("sweep", base.sweep),
-    )
+            raise ConfigError(section.name, str(exc)) from None
+    cfg = RunConfig(**sections)
     cfg.validate()
     return cfg
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config_file(args.config) if args.config else default_run_config()
-    if getattr(args, "seed", None) is not None:
-        try:
-            cfg = replace(cfg, sim=replace(cfg.sim, seed=args.seed))
-        except ValueError as exc:
-            raise ConfigError("sim.seed", str(exc)) from None
-        cfg.validate()
-    return cfg
+    overrides = {} if args.seed is None else {"sim.seed": args.seed}
+    if args.config:
+        return parse_config_file(args.config, overrides)
+    return build_run_config(overrides)
 
 
 # --- sweep --------------------------------------------------------------------
 
-SWEEP_COLUMNS = [
-    "phi34_rad", "tau_s",
-    "g2_cross", "g2_cross_err", "g2_self3", "g2_self3_err",
-    "g2_self4", "g2_self4_err", "i3_mean", "i4_mean",
-    "oracle_g2_cross", "oracle_g2_self",
-]
+def _g2_columns(kinds) -> list[str]:
+    """Results-table columns: delay, value and error per kind, mean intensities."""
+    return ["tau_s", *(f"g2_{k}{s}" for k in kinds for s in ("", "_err")), "i3_mean", "i4_mean"]
+
+
+def _g2_cells(tau: float, results: list[CorrelationResult], i3_mean: float, i4_mean: float) -> list[str]:
+    """The cells of one ``_g2_columns`` row."""
+    cells = [_fmt(tau)]
+    for r in results:
+        cells += [_fmt(r.value), _fmt(r.std_error)]
+    return cells + [_fmt(i3_mean), _fmt(i4_mean)]
+
+
+SWEEP_COLUMNS = ["phi34_rad", *_g2_columns(SCAN_KINDS), "oracle_g2_cross", "oracle_g2_self"]
+
+
+def delay_grid(tau_max: float, steps: int, dt: float) -> np.ndarray:
+    """``steps`` delays from 0 to ``tau_max``, snapped onto the sample grid
+    of period ``dt`` so that the estimators accept them."""
+    return np.round(np.linspace(0.0, tau_max, steps) / dt) * dt
 
 
 def sweep_grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     phi34s = np.linspace(cfg.sweep.phi34_start, cfg.sweep.phi34_end, cfg.sweep.phi34_steps)
-    taus = np.linspace(0.0, cfg.sweep.tau_max, cfg.sweep.tau_steps)
-    # Snap delays onto the sample grid so estimators accept them.
-    taus = np.round(taus / cfg.sim.dt) * cfg.sim.dt
-    return phi34s, taus
+    return phi34s, delay_grid(cfg.sweep.tau_max, cfg.sweep.tau_steps, cfg.sim.dt)
 
 
 def _sweep_point_job(job: tuple[RunConfig, int, float, tuple[float, ...]]) -> PointEstimates:
@@ -234,17 +251,12 @@ def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:
     rows = []
     for pt in points:
         omega = solid_angle_of_setup(cfg.bench.phi3, cfg.bench.phi3 + pt.phi34)
-        oracle_cross = predict_g2_cross(cfg.bench.phi_d, omega)
-        oracle_self = predict_g2_self(cfg.bench.phi_d)
+        oracle_cross = predict_g2_cross(cfg.bench.phi_d, omega, cfg.bench.balance)
+        oracle_self = predict_g2_self(cfg.bench.phi_d, cfg.bench.balance)
+        scans = [getattr(pt, f"g2_{kind}") for kind in SCAN_KINDS]
         for it, tau in enumerate(pt.taus):
-            rows.append([
-                _fmt(pt.phi34), _fmt(tau),
-                _fmt(pt.g2_cross[it].value), _fmt(pt.g2_cross[it].std_error),
-                _fmt(pt.g2_self3[it].value), _fmt(pt.g2_self3[it].std_error),
-                _fmt(pt.g2_self4[it].value), _fmt(pt.g2_self4[it].std_error),
-                _fmt(pt.i3_mean), _fmt(pt.i4_mean),
-                _fmt(oracle_cross), _fmt(oracle_self),
-            ])
+            cells = _g2_cells(tau, [scan[it] for scan in scans], pt.i3_mean, pt.i4_mean)
+            rows.append([_fmt(pt.phi34), *cells, _fmt(oracle_cross), _fmt(oracle_self)])
     return rows
 
 
@@ -265,25 +277,15 @@ def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
     write_csv(out_path, "# columns: " + ",".join(SWEEP_COLUMNS), map(",".join, rows))
 
 
-def cmd_analyze(trace_path, taus, kinds: list[str], out_path) -> None:
-    """Run the correlation estimators offline on a recorded trace file."""
-    traces = load_detector_traces(trace_path)
-    columns = ["tau_s"]
-    for kind in kinds:
-        columns += [f"g2_{kind}", f"g2_{kind}_err"]
-    columns += ["i3_mean", "i4_mean"]
-    scans = {kind: g2_delay_scan(traces, kind, taus) for kind in kinds}
-    i3_mean = float(np.mean(traces.i3))
-    i4_mean = float(np.mean(traces.i4))
-    rows = []
-    for it, tau in enumerate(taus):
-        cells = [_fmt(tau)]
-        for kind in kinds:
-            r = scans[kind][it]
-            cells += [_fmt(r.value), _fmt(r.std_error)]
-        cells += [_fmt(i3_mean), _fmt(i4_mean)]
-        rows.append(",".join(cells))
-    write_csv(out_path, "# columns: " + ",".join(columns), rows)
+def cmd_analyze(traces: DetectorTraces, taus, kinds: list[str], out_path) -> None:
+    """Run the correlation estimators offline on recorded traces."""
+    scans = [g2_delay_scan(traces, kind, taus) for kind in kinds]
+    i3_mean, i4_mean = mean_intensity(traces, 3), mean_intensity(traces, 4)
+    rows = [
+        ",".join(_g2_cells(tau, [scan[it] for scan in scans], i3_mean, i4_mean))
+        for it, tau in enumerate(taus)
+    ]
+    write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), rows)
 
 
 def predict_report(phi3: float, phi4: float, phi_d: float) -> str:
@@ -311,10 +313,6 @@ def predict_report(phi3: float, phi4: float, phi_d: float) -> str:
     lines.append(f"{n_zero} of 16 terms vanish on time averaging")
     lines.append(f"survivor sum = {audit_survivor_sum(terms):.12g}")
     return "\n".join(lines)
-
-
-def cmd_predict(phi3: float, phi4: float, phi_d: float) -> None:
-    print(predict_report(phi3, phi4, phi_d))
 
 
 # --- argument parsing ----------------------------------------------------------
@@ -348,11 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("trace", help="detector-trace CSV (as written by simulate)")
     p_an.add_argument("--out", required=True, help="output CSV path")
     p_an.add_argument("--taus", help="comma-separated delays in seconds")
-    p_an.add_argument("--tau-max", type=float, help="delay grid end (seconds)")
+    p_an.add_argument("--tau-max", type=float, help="delay grid end (seconds), snapped to the file's dt")
     p_an.add_argument("--tau-steps", type=int, default=11, help="delay grid size")
-    p_an.add_argument("--cross", action="store_true", help="cross correlation only")
-    p_an.add_argument("--self3", action="store_true", help="detector-3 self correlation")
-    p_an.add_argument("--self4", action="store_true", help="detector-4 self correlation")
+    for kind in SCAN_KINDS:
+        p_an.add_argument(f"--{kind}", action="store_true", help=f"estimate g2_{kind} (default: every kind)")
 
     p_pre.add_argument("--phi3", type=_angle_arg, default=0.0)
     p_pre.add_argument("--phi4", type=_angle_arg, default=0.5 * math.pi)
@@ -360,16 +357,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analyze_taus(args) -> list[float]:
+def _analyze_taus(args, dt: float) -> list[float]:
     if args.taus is not None:
         try:
             return [float(x) for x in args.taus.split(",") if x.strip()]
         except ValueError:
             raise ConfigError("--taus", f"unparseable delay list {args.taus!r}") from None
     if args.tau_max is not None:
+        if not (math.isfinite(args.tau_max) and args.tau_max >= 0.0):
+            raise ConfigError("--tau-max", "must be finite and >= 0")
         if args.tau_steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
-        return [float(t) for t in np.linspace(0.0, args.tau_max, args.tau_steps)]
+        return [float(t) for t in delay_grid(args.tau_max, args.tau_steps, dt)]
     return [0.0]
 
 
@@ -387,14 +386,11 @@ def main(argv=None) -> int:
                 raise ConfigError("--workers", "must be >= 1")
             cmd_sweep(_load_config(args), args.out, workers=args.workers)
         elif args.command == "analyze":
-            kinds = [
-                kind for kind, on in
-                (("cross", args.cross), ("self3", args.self3), ("self4", args.self4))
-                if on
-            ] or ["cross", "self3", "self4"]
-            cmd_analyze(args.trace, _analyze_taus(args), kinds, args.out)
+            kinds = [kind for kind in SCAN_KINDS if getattr(args, kind)] or list(SCAN_KINDS)
+            traces = load_detector_traces(args.trace)
+            cmd_analyze(traces, _analyze_taus(args, traces.dt), kinds, args.out)
         elif args.command == "predict":
-            cmd_predict(args.phi3, args.phi4, args.phi_d)
+            print(predict_report(args.phi3, args.phi4, args.phi_d))
     except ValueError as exc:
         print(f"hbt: error: {exc}", file=sys.stderr)
         return 2

@@ -102,12 +102,7 @@ def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = 20) -> Correla
 
 def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = 20) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
-    if which == 3:
-        series = traces.i3
-    elif which == 4:
-        series = traces.i4
-    else:
-        raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
+    series = traces.series(which)
     return _g2(series, series, traces.dt, tau, n_batches)
 
 

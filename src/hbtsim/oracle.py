@@ -1,12 +1,13 @@
 """Closed-form predictions for the bench observables.
 
-For phase-incoherent constant-modulus sources of equal mean intensity, the
-zero-delay correlations depend only on the dynamical phase ``phi_d`` and
-the solid angle ``omega`` enclosed on the Poincaré sphere by the polariser
-loop R -> 4 -> L -> 3:
+For phase-incoherent constant-modulus sources, the zero-delay correlations
+depend only on the dynamical phase ``phi_d``, the solid angle ``omega``
+enclosed on the Poincaré sphere by the polariser loop R -> 4 -> L -> 3, and
+the visibility V = 4b/(1+b)^2 of the intensity ratio b = <I2>/<I1>
+(``bench.balance``; V = 1 for equal intensities):
 
-    g2_cross(0) = 1 - cos(phi_d + omega/2) / 2       (fringe, 0.5 .. 1.5)
-    g2_self(0)  = 1 + cos(phi_d) / 2                 (no omega: the single-
+    g2_cross(0) = 1 - V cos(phi_d + omega/2) / 2     (fringe, 1 -+ V/2)
+    g2_self(0)  = 1 + V cos(phi_d) / 2               (no omega: the single-
                                                       detector loop R-4-L-4
                                                       encloses nothing)
     <I_i>       = (<I1> + <I2>) / 4
@@ -37,18 +38,25 @@ def solid_angle_of_setup(phi3: float, phi4: float) -> float:
     return _wrap_pm_two_pi(4.0 * (phi4 - phi3))
 
 
-def predict_g2_cross(phi_d: float, omega: float) -> float:
-    """Zero-delay cross correlation 1 - cos(phi_d + omega/2)/2."""
+def visibility(balance: float) -> float:
+    """Fringe visibility 4b/(1+b)^2 of sources with intensity ratio b; 1 at b = 1."""
+    if not (math.isfinite(balance) and balance > 0.0):
+        raise ValueError("balance must be finite and > 0")
+    return 4.0 * balance / (1.0 + balance) ** 2
+
+
+def predict_g2_cross(phi_d: float, omega: float, balance: float = 1.0) -> float:
+    """Zero-delay cross correlation 1 - V cos(phi_d + omega/2)/2."""
     if not (math.isfinite(phi_d) and math.isfinite(omega)):
         raise ValueError("arguments must be finite")
-    return 1.0 - 0.5 * math.cos(phi_d + 0.5 * omega)
+    return 1.0 - 0.5 * visibility(balance) * math.cos(phi_d + 0.5 * omega)
 
 
-def predict_g2_self(phi_d: float) -> float:
-    """Zero-delay self correlation 1 + cos(phi_d)/2; no geometric term."""
+def predict_g2_self(phi_d: float, balance: float = 1.0) -> float:
+    """Zero-delay self correlation 1 + V cos(phi_d)/2; no geometric term."""
     if not math.isfinite(phi_d):
         raise ValueError("phi_d must be finite")
-    return 1.0 + 0.5 * math.cos(phi_d)
+    return 1.0 + 0.5 * visibility(balance) * math.cos(phi_d)
 
 
 def predict_intensity(i1_mean: float, i2_mean: float) -> float:

@@ -45,7 +45,8 @@ def simulate_detectors(
 
 @dataclass(frozen=True)
 class PointEstimates:
-    """Repeat-averaged estimates for one polariser setting over a tau grid."""
+    """Repeat-averaged estimates for one polariser setting over a tau grid;
+    one ``g2_<kind>`` field per kind of ``correlate.SCAN_KINDS``."""
 
     phi34: float
     taus: tuple[float, ...]

@@ -104,16 +104,6 @@ def test_energy_inequality_per_sample():
     assert np.all(traces.i3 + traces.i4 <= budget + 1e-12)
 
 
-def test_without_polarizers_lossless():
-    rng = np.random.default_rng(16)
-    e1 = generate_trace(SRC, 2e-4, 1e-7, rng)
-    e2 = generate_trace(SRC, 2e-4, 1e-7, rng)
-    out = propagate(e1, e2, BenchConfig(phi3=0.7, phi4=2.2), polarizers=False)
-    total = out.i3 + out.i4
-    assert np.max(np.abs(total - 2.0)) < 1e-12  # |E1|^2 + |E2|^2, both unity
-    assert np.std(total) < 1e-12
-
-
 def test_common_global_phase_leaves_intensities():
     rng = np.random.default_rng(17)
     e1, e2 = random_trace(rng), random_trace(rng)

@@ -1,11 +1,15 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hbtsim.bench import DetectorTraces, save_detector_traces
 from hbtsim.cli import (
+    CONFIG_KEYS,
+    build_run_config,
     default_run_config,
     main,
     parse_angle,
@@ -89,6 +93,38 @@ def test_config_invariants_name_fields(tmp_path, capsys):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     assert "repeats" in capsys.readouterr().err
 
+    # --seed is checked like a file value, with or without a config file
+    path.write_text("sim.repeats = 2\n")
+    for config in ([], ["--config", str(path)]):
+        argv = ["simulate", *config, "--seed", "-1", "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert "seed must be a non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, field", [
+    ("sweep.phi34_steps = 1000000000", "sweep.phi34_steps"),
+    ("sweep.tau_steps = 1000000000", "sweep.tau_steps"),
+    ("sim.duration = 1e3", "sim.duration"),
+])
+def test_oversized_config_rejected_before_allocating(tmp_path, line, field):
+    # Parsing only: a regression must fail here, not try to run the config.
+    path = tmp_path / "big.cfg"
+    path.write_text(line + "\n")
+    with pytest.raises(ConfigError, match="physical memory") as info:
+        parse_config_file(path)
+    assert field in info.value.field
+
+
+def test_readme_config_block_is_the_schema_with_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0].strip() for line in block.splitlines()]
+    lines = [line for line in lines if line]
+    assert sorted(line.split("=")[0].strip() for line in lines) == sorted(CONFIG_KEYS)
+    path = tmp_path / "readme.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert parse_config_file(path) == default_run_config()
+
 
 # --- simulate -------------------------------------------------------------------
 
@@ -171,6 +207,25 @@ def test_sweep_tracks_oracle(zero_delay_sweep, tmp_path):
     assert math.sqrt(np.mean(np.square(residuals))) < 0.03
 
 
+def test_unbalanced_sweep_tracks_oracle(tmp_path):
+    # balance 4 lowers the fringe visibility to 4b/(1+b)^2 = 0.64
+    path = tmp_path / "b4.cfg"
+    path.write_text(
+        "bench.balance = 4\nsweep.phi34_end = 90 deg\nsweep.phi34_steps = 2\n"
+        "sweep.tau_max = 0\nsweep.tau_steps = 1\n"
+    )
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    columns, rows = read_rows(out)
+    for row in rows:
+        get = {name: float(cell) for name, cell in zip(columns, row)}
+        for kind, oracle in (("cross", "oracle_g2_cross"), ("self3", "oracle_g2_self"),
+                             ("self4", "oracle_g2_self")):
+            z = (get[f"g2_{kind}"] - get[oracle]) / get[f"g2_{kind}_err"]
+            assert abs(z) < 5.0, (kind, get)
+    assert [float(r[columns.index("oracle_g2_cross")]) for r in rows] == pytest.approx([0.68, 1.32])
+
+
 # --- analyze --------------------------------------------------------------------
 
 
@@ -233,6 +288,22 @@ def test_analyze_off_grid_delay_is_exit_2(tmp_path, capsys):
         ["analyze", str(path), "--taus", "1.5e-7", "--out", str(tmp_path / "o.csv")]
     ) == 2
     assert "multiple of dt" in capsys.readouterr().err
+
+
+def test_analyze_tau_max_grid_is_the_sweep_grid(tmp_path, capsys):
+    path = tmp_path / "const.csv"
+    save_detector_traces(
+        DetectorTraces(dt=1e-7, i3=np.full(200, 1.0), i4=np.full(200, 1.0)), path
+    )
+    out = tmp_path / "o.csv"
+    argv = ["analyze", str(path), "--tau-max", "3.3e-7", "--tau-steps", "4", "--out", str(out)]
+    assert main(argv) == 0
+    _, rows = read_rows(out)
+    _, taus = sweep_grids(build_run_config({"sweep.tau_max": 3.3e-7, "sweep.tau_steps": 4}))
+    assert [float(r[0]) for r in rows] == list(taus)
+
+    assert main(["analyze", str(path), "--tau-max", "inf", "--out", str(out)]) == 2
+    assert "--tau-max" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dark", [slice(None), slice(0, 100)], ids=["column", "one_batch"])
