@@ -21,6 +21,7 @@ from .bench import (
 )
 from .correlate import (
     CorrelationResult,
+    first_order_coherence,
     g2_cross,
     g2_delay_scan,
     g2_self,
@@ -30,7 +31,6 @@ from .errors import (
     DegenerateGeodesicError,
     IncompatibleTracesError,
     InsufficientDataError,
-    InsufficientOverlapError,
     OffGridDelayError,
     SamplingTooCoarseError,
     TraceFormatError,
@@ -67,7 +67,6 @@ from .source import (
     FieldTrace,
     PhaseNoiseConfig,
     default_source_config,
-    first_order_coherence,
     generate_trace,
     phase_jump_process,
     sample_dwell,

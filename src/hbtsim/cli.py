@@ -67,6 +67,9 @@ class SweepConfig:
     tau_steps: int = 11
 
     def __post_init__(self):
+        for name in ("phi34_start", "phi34_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.phi34_steps < 2:
             raise ValueError("phi34_steps must be >= 2")
         if self.tau_steps < 1:
@@ -87,17 +90,37 @@ class RunConfig:
             raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
-        # Checked before any array exists (int/float comparisons are exact, so
-        # nothing overflows).  Bytes per item are lower bounds measured with
-        # tracemalloc: 104 per trace sample (189 in simulate), 2.3 kB per row.
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        limit = f"more than the {memory / 2 ** 30:.3g} GiB of physical memory"
         samples = self.sim.duration / self.sim.dt
-        if samples * 100 > memory:
-            raise ConfigError("sim.duration", f"{samples:.3g} samples per trace need {limit}")
+        check_fits_in_memory("sim.duration", samples, "samples per trace", 100)
         rows = self.sweep.phi34_steps * self.sweep.tau_steps
-        if rows * 1000 > memory:
-            raise ConfigError("sweep.phi34_steps x sweep.tau_steps", f"{rows} rows need {limit}")
+        check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", 1000)
+        # A detector sample is at most s/2 and a mean intensity is s/4, with
+        # s = a^2 (1 + b) (bench.propagate).  The estimators sum n products
+        # of samples and divide by products of means; both must stay normal
+        # floats.  In logs, because a ** 2 itself may overflow.
+        log_s = 2.0 * math.log(self.source.amplitude) + math.log1p(self.bench.balance)
+        if not (math.log(sys.float_info.min) <= 2.0 * log_s - math.log(16.0)
+                and 2.0 * log_s + math.log(samples / 4.0) <= math.log(sys.float_info.max)):
+            raise ConfigError(
+                "source.amplitude, bench.balance",
+                f"intensity scale a^2 (1 + b) = 1e{log_s / math.log(10.0):+.0f} puts the"
+                " estimator products outside the normal float range",
+            )
+
+
+def check_fits_in_memory(field: str, count: float, what: str, item_bytes: int) -> None:
+    """Refuse ``count`` items of ``item_bytes`` each that would not fit in
+    physical memory, before any array exists.
+
+    int/float comparisons are exact, so nothing overflows.  The callers'
+    bytes per item are lower bounds; tracemalloc measures 104 per trace
+    sample (189 in simulate), 2.3 kB per sweep row, 1.26 kB per analyze delay.
+    """
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if count * item_bytes > memory:
+        raise ConfigError(
+            field, f"{count:.3g} {what} need more than the {memory / 2 ** 30:.3g} GiB of physical memory"
+        )
 
 
 def default_run_config() -> RunConfig:
@@ -368,6 +391,7 @@ def _analyze_taus(args, dt: float) -> list[float]:
             raise ConfigError("--tau-max", "must be finite and >= 0")
         if args.tau_steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
+        check_fits_in_memory("--tau-steps", args.tau_steps, "delays", 1000)
         return [float(t) for t in delay_grid(args.tau_max, args.tau_steps, dt)]
     return [0.0]
 

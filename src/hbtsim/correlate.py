@@ -1,10 +1,13 @@
-"""Normalized intensity-correlation estimators with batch-means error bars.
+"""Normalized correlation estimators: the field coherence g1 of a source and
+the intensity correlations g2 of the detectors, with batch-means error bars.
 
 G2(tau) = <I_a(t) I_b(t+tau)> / (<I_a(t)> <I_b(t+tau)>) with all three
 averages taken over the same overlap window of length (N - k) samples,
 k = tau/dt; this removes the O(tau/T) normalization bias of full-trace
-means.  Delays must sit on the sample grid (interpolating intensities would
-smear phase-jump discontinuities) and correlation is linear, never circular.
+means.  g1 averages over the same window.  Both map a delay to its lag by
+one rule, ``_delay_index``: delays must sit on the sample grid
+(interpolating would smear phase-jump discontinuities) and within half the
+record, and correlation is linear, never circular.
 
 The standard error comes from batch means: the overlap window is split into
 ``n_batches`` equal batches (default 20), the estimator is recomputed per
@@ -23,6 +26,7 @@ import numpy as np
 
 from .bench import DetectorTraces
 from .errors import InsufficientDataError, OffGridDelayError
+from .source import FieldTrace
 
 SCAN_KINDS = ("cross", "self3", "self4")
 
@@ -43,7 +47,9 @@ class CorrelationResult:
             raise ValueError("std_error must be >= 0")
 
 
-def _delay_index(tau: float, dt: float) -> int:
+def _delay_index(tau: float, dt: float, n_total: int) -> int:
+    """The lag k = tau/dt of a delay into a record of ``n_total`` samples,
+    for a finite ``tau >= 0`` on the sample grid with 2k <= n_total."""
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError("tau must be finite and >= 0")
     k = int(round(tau / dt))
@@ -51,27 +57,29 @@ def _delay_index(tau: float, dt: float) -> int:
         raise OffGridDelayError(
             f"tau={tau!r} is not an integer multiple of dt={dt!r}"
         )
+    if 2 * k > n_total:
+        raise InsufficientDataError(
+            f"tau={tau!r} exceeds half the record length {n_total * dt!r}"
+        )
     return k
 
 
-def _normalized_product_mean(x: np.ndarray, y: np.ndarray) -> float:
+def _normalized_product_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<xy>/(<x><y>) along the last axis of nonnegative ``x`` and ``y``."""
+    mx = x.mean(axis=-1, keepdims=True)
+    my = y.mean(axis=-1, keepdims=True)
+    if not (mx.min() > 0.0 and my.min() > 0.0):
+        raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
     # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
     # and free of the large-term cancellation.
-    mx = x.mean()
-    my = y.mean()
-    return 1.0 + float(np.mean((x - mx) * (y - my)) / (mx * my))
+    return 1.0 + np.mean((x - mx) * (y - my), axis=-1) / (mx * my)[..., 0]
 
 
 def _g2(x: np.ndarray, y: np.ndarray, dt: float, tau: float, n_batches: int) -> CorrelationResult:
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    k = _delay_index(tau, dt)
-    n_total = len(x)
-    if 2 * k > n_total:
-        raise InsufficientDataError(
-            f"tau={tau!r} exceeds half the record length {n_total * dt!r}"
-        )
-    n = n_total - k
+    k = _delay_index(tau, dt, len(x))
+    n = len(x) - k
     if n < n_batches:
         raise InsufficientDataError(
             f"overlap window of {n} samples is shorter than {n_batches} batches"
@@ -81,16 +89,9 @@ def _g2(x: np.ndarray, y: np.ndarray, dt: float, tau: float, n_batches: int) -> 
     m = n // n_batches
     xb = xw[: m * n_batches].reshape(n_batches, m)
     yb = yw[: m * n_batches].reshape(n_batches, m)
-    bmx = xb.mean(axis=1, keepdims=True)
-    bmy = yb.mean(axis=1, keepdims=True)
-    # Positive batch means imply a positive window mean, so the check covers
-    # every division below.
-    if not (bmx.min() > 0.0 and bmy.min() > 0.0):
-        raise InsufficientDataError(
-            f"zero mean intensity in a batch of the overlap window at tau={tau!r}"
-        )
-    value = _normalized_product_mean(xw, yw)
-    batch_vals = 1.0 + ((xb - bmx) * (yb - bmy)).mean(axis=1) / (bmx * bmy)[:, 0]
+    # Batches first: positive batch means imply a positive window mean.
+    batch_vals = _normalized_product_mean(xb, yb)
+    value = float(_normalized_product_mean(xw, yw))
     std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
     return CorrelationResult(value=value, tau=k * dt, n_samples=n, std_error=std_error)
 
@@ -120,3 +121,19 @@ def g2_delay_scan(
     if kind == "self4":
         return [g2_self(traces, 4, tau, n_batches) for tau in taus]
     raise ValueError(f"unknown scan kind {kind!r}; expected one of {SCAN_KINDS}")
+
+
+def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
+    """Normalized field autocorrelation <conj(E(t)) E(t+tau)> / <|E(t)|^2>.
+
+    Both averages run over the same overlap window; tau = 0 returns exactly 1.
+    """
+    n_total = len(trace.samples)
+    k = _delay_index(tau, trace.dt, n_total)
+    if k == 0:
+        return 1.0 + 0.0j  # numerator and denominator coincide identically
+    n = n_total - k
+    head = trace.samples[:n]
+    num = np.mean(head.conj() * trace.samples[k : k + n])
+    den = np.mean((head.conj() * head).real)
+    return complex(num / den)

@@ -26,10 +26,6 @@ class InsufficientDataError(ValueError):
     """Too few overlapping samples for the requested estimate."""
 
 
-class InsufficientOverlapError(InsufficientDataError):
-    """Delay leaves less than half the trace overlapping."""
-
-
 class TraceFormatError(ValueError):
     """Malformed trace/results CSV. Carries the offending line number."""
 

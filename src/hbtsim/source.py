@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientOverlapError, SamplingTooCoarseError
+from .errors import SamplingTooCoarseError
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class PhaseNoiseConfig:
     def __post_init__(self):
         if not (0.0 < self.t_min < self.t_c < self.t_max):
             raise ValueError("require 0 < t_min < t_c < t_max")
-        if not (self.amplitude > 0.0):
-            raise ValueError("amplitude must be > 0")
+        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
+            raise ValueError("amplitude must be positive and finite")
 
 
 def default_source_config() -> PhaseNoiseConfig:
@@ -149,27 +149,3 @@ def generate_trace(
     t = np.arange(n) * dt
     theta = levels[np.searchsorted(jump_times, t, side="right")]
     return FieldTrace(dt=dt, samples=config.amplitude * np.exp(1j * theta))
-
-
-def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
-    """Normalized field autocorrelation <conj(E(t)) E(t+tau)> / <|E(t)|^2>.
-
-    Both averages run over the same overlap window.  ``tau`` is rounded to
-    the sample grid; tau = 0 returns exactly 1.  Delays of half the trace or
-    more raise InsufficientOverlapError.
-    """
-    if not (math.isfinite(tau) and tau >= 0.0):
-        raise ValueError("tau must be finite and >= 0")
-    k = int(round(tau / trace.dt))
-    n_total = len(trace.samples)
-    if 2 * k >= n_total:
-        raise InsufficientOverlapError(
-            f"tau={tau!r} leaves less than half the trace overlapping"
-        )
-    if k == 0:
-        return 1.0 + 0.0j  # numerator and denominator coincide identically
-    n = n_total - k
-    head = trace.samples[:n]
-    num = np.mean(head.conj() * trace.samples[k : k + n])
-    den = np.mean((head.conj() * head).real)
-    return complex(num / den)

@@ -12,7 +12,7 @@ from scipy import stats
 
 from hbtsim.bench import BenchConfig, DetectorTraces
 from hbtsim.cli import main
-from hbtsim.correlate import g2_cross, g2_self
+from hbtsim.correlate import first_order_coherence, g2_cross, g2_self
 from hbtsim.oracle import (
     audit_survivor_sum,
     predict_g2_cross,
@@ -30,7 +30,6 @@ from hbtsim.poincare import (
 )
 from hbtsim.source import (
     default_source_config,
-    first_order_coherence,
     generate_trace,
     phase_jump_process,
     sample_dwell,

@@ -115,6 +115,22 @@ def test_oversized_config_rejected_before_allocating(tmp_path, line, field):
     assert field in info.value.field
 
 
+@pytest.mark.parametrize("line, field", [
+    ("sweep.phi34_start = nan", "sweep: phi34_start"),
+    ("sweep.phi34_end = inf", "sweep: phi34_end"),
+    ("source.amplitude = inf", "source: amplitude"),
+    ("source.amplitude = 1e100", "source.amplitude"),
+    ("source.amplitude = 1e-100", "source.amplitude"),
+    ("source.amplitude = 1e-80", "source.amplitude"),  # subnormal products
+    ("bench.balance = 1e300", "bench.balance"),
+])
+def test_out_of_range_value_names_its_field(tmp_path, capsys, line, field):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_CFG + line + "\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_readme_config_block_is_the_schema_with_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -304,6 +320,22 @@ def test_analyze_tau_max_grid_is_the_sweep_grid(tmp_path, capsys):
 
     assert main(["analyze", str(path), "--tau-max", "inf", "--out", str(out)]) == 2
     assert "--tau-max" in capsys.readouterr().err
+
+
+def test_analyze_tau_steps_bounded_before_allocating(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "const.csv"
+    save_detector_traces(
+        DetectorTraces(dt=1e-7, i3=np.full(200, 1.0), i4=np.full(200, 1.0)), path
+    )
+
+    def no_grid(*args):
+        raise AssertionError("the delay grid was built before its size was checked")
+
+    monkeypatch.setattr("hbtsim.cli.delay_grid", no_grid)
+    argv = ["analyze", str(path), "--tau-max", "1e-5", "--tau-steps", "1000000000",
+            "--out", str(tmp_path / "o.csv")]
+    assert main(argv) == 2
+    assert "--tau-steps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dark", [slice(None), slice(0, 100)], ids=["column", "one_batch"])

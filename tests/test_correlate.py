@@ -6,13 +6,14 @@ import pytest
 from hbtsim.bench import BenchConfig, DetectorTraces
 from hbtsim.correlate import (
     CorrelationResult,
+    first_order_coherence,
     g2_cross,
     g2_delay_scan,
     g2_self,
 )
 from hbtsim.errors import InsufficientDataError, OffGridDelayError
 from hbtsim.pipeline import simulate_detectors
-from hbtsim.source import default_source_config
+from hbtsim.source import FieldTrace, default_source_config
 
 SRC = default_source_config()
 T_C = SRC.t_c
@@ -134,6 +135,28 @@ def test_delay_validation():
         g2_cross(tr, 60e-7)  # beyond half the record
     with pytest.raises(ValueError):
         g2_self(tr, 2, 0.0)
+
+
+@pytest.mark.parametrize("tau, error", [
+    (-1e-7, ValueError),
+    (math.nan, ValueError),
+    (1.5e-7, OffGridDelayError),
+    (51e-7, InsufficientDataError),  # beyond half the record
+], ids=["negative", "nan", "off_grid", "beyond_half"])
+def test_g1_and_g2_share_the_lag_rule(tau, error):
+    field = FieldTrace(dt=1e-7, samples=np.ones(100))
+    for estimate in (
+        lambda: first_order_coherence(field, tau),
+        lambda: g2_cross(constant_traces(n=100), tau),
+    ):
+        with pytest.raises(error) as info:
+            estimate()
+        assert type(info.value) is error
+
+
+def test_g1_and_g2_accept_half_the_record():
+    assert first_order_coherence(FieldTrace(dt=1e-7, samples=np.ones(100)), 50e-7) == 1.0
+    assert g2_cross(constant_traces(n=100), 50e-7).value == 1.0
 
 
 def test_short_window_is_rejected():

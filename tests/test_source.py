@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from hbtsim.errors import InsufficientOverlapError, SamplingTooCoarseError
+from hbtsim.correlate import first_order_coherence
+from hbtsim.errors import InsufficientDataError, SamplingTooCoarseError
 from hbtsim.source import (
     FieldTrace,
     PhaseNoiseConfig,
     default_source_config,
-    first_order_coherence,
     generate_trace,
     phase_jump_process,
     sample_dwell,
@@ -133,7 +133,7 @@ def test_g1_zero_delay_is_exactly_one():
 
 def test_g1_insufficient_overlap():
     trace = generate_trace(CFG, 2e-3, 1e-7, np.random.default_rng(0))
-    with pytest.raises(InsufficientOverlapError):
+    with pytest.raises(InsufficientDataError):
         first_order_coherence(trace, 1.5e-3)
     with pytest.raises(ValueError):
         first_order_coherence(trace, -1e-6)
