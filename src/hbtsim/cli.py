@@ -21,7 +21,7 @@ import numpy as np
 
 from .bench import BenchConfig, DetectorTraces, mean_intensity
 from .bench import load_detector_traces, save_detector_traces
-from .correlate import SCAN_KINDS, CorrelationResult, g2_delay_scan
+from .correlate import N_BATCHES, SCAN_KINDS, CorrelationResult, g2_delay_scan
 from .csvutil import fmt_float as _fmt
 from .csvutil import write_csv
 from .errors import ConfigError
@@ -94,6 +94,15 @@ class RunConfig:
         check_fits_in_memory("sim.duration", samples, "samples per trace", 100)
         rows = self.sweep.phi34_steps * self.sweep.tau_steps
         check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", 1000)
+        # Samples and lag as generate_trace and the estimators round them.
+        lag = round(delay_grid(self.sweep.tau_max, self.sweep.tau_steps, self.sim.dt)[-1] / self.sim.dt)
+        window = round(samples) - lag
+        if window < N_BATCHES:
+            raise ConfigError(
+                "sim.duration",
+                f"overlap window of {window} samples at sweep.tau_max is shorter"
+                f" than the estimators' {N_BATCHES} batches",
+            )
         # A detector sample is at most s/2 and a mean intensity is s/4, with
         # s = a^2 (1 + b) (bench.propagate).  The estimators sum n products
         # of samples and divide by products of means; both must stay normal

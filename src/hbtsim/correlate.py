@@ -10,10 +10,11 @@ one rule, ``_delay_index``: delays must sit on the sample grid
 record, and correlation is linear, never circular.
 
 The standard error comes from batch means: the overlap window is split into
-``n_batches`` equal batches (default 20), the estimator is recomputed per
-batch, and the spread of batch values / sqrt(n_batches) is reported.  With
-the default geometry each batch spans >= 50 coherence times, so serial
-correlation within a batch does not bias the error estimate much.
+``n_batches`` equal batches (default ``N_BATCHES`` = 20), the estimator is
+recomputed per batch, and the spread of batch values / sqrt(n_batches) is
+reported.  With the default geometry each batch spans >= 50 coherence
+times, so serial correlation within a batch does not bias the error estimate
+much.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import InsufficientDataError, OffGridDelayError
 from .source import FieldTrace
 
 SCAN_KINDS = ("cross", "self3", "self4")
+N_BATCHES = 20
 
 
 @dataclass(frozen=True)
@@ -96,12 +98,12 @@ def _g2(x: np.ndarray, y: np.ndarray, dt: float, tau: float, n_batches: int) -> 
     return CorrelationResult(value=value, tau=k * dt, n_samples=n, std_error=std_error)
 
 
-def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = 20) -> CorrelationResult:
+def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
     return _g2(traces.i3, traces.i4, traces.dt, tau, n_batches)
 
 
-def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = 20) -> CorrelationResult:
+def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
     series = traces.series(which)
     return _g2(series, series, traces.dt, tau, n_batches)
@@ -111,7 +113,7 @@ def g2_delay_scan(
     traces: DetectorTraces,
     kind: str,
     taus: Sequence[float],
-    n_batches: int = 20,
+    n_batches: int = N_BATCHES,
 ) -> list[CorrelationResult]:
     """Apply the selected estimator over a delay grid, preserving order."""
     if kind == "cross":
@@ -126,14 +128,17 @@ def g2_delay_scan(
 def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     """Normalized field autocorrelation <conj(E(t)) E(t+tau)> / <|E(t)|^2>.
 
-    Both averages run over the same overlap window; tau = 0 returns exactly 1.
+    Both averages run over the same overlap window; tau = 0 returns exactly 1
+    unless the window has zero power.
     """
     n_total = len(trace.samples)
     k = _delay_index(tau, trace.dt, n_total)
-    if k == 0:
-        return 1.0 + 0.0j  # numerator and denominator coincide identically
     n = n_total - k
     head = trace.samples[:n]
-    num = np.mean(head.conj() * trace.samples[k : k + n])
     den = np.mean((head.conj() * head).real)
+    if not den > 0.0:
+        raise InsufficientDataError("zero field power in the overlap window")
+    if k == 0:
+        return 1.0 + 0.0j  # numerator and denominator coincide identically
+    num = np.mean(head.conj() * trace.samples[k : k + n])
     return complex(num / den)

@@ -6,7 +6,9 @@ uniformly on the circle.  Dwell times follow an exponential of scale ``t_c``
 truncated to [t_min, t_max] and renormalized there, so the coherence of the
 field is lost on the scale t_c while every dwell resolves the sample grid.
 The instantaneous intensity |E|^2 never fluctuates: all the noise is in the
-phase.
+phase.  Because the field is constant between jumps, a trace evaluates the
+field once per phase level and repeats it over the level's samples; this is
+bitwise equal to evaluating it at every sample.
 """
 
 from __future__ import annotations
@@ -130,7 +132,9 @@ def generate_trace(
     """Sample the phase-noise field on a uniform grid of period ``dt``.
 
     A jump landing between sample instants takes effect at the next sample
-    (sample-and-hold), unbiased for dt << t_min.  dt > t_min would alias
+    (sample-and-hold), unbiased for dt << t_min.  The field is computed once
+    per phase level and repeated over that level's run of samples, bitwise
+    equal to computing it per sample.  dt > t_min would alias
     whole dwells and raises SamplingTooCoarseError; dt above the recommended
     t_min/4, or duration below the recommended 100*t_c, only warns.
     """
@@ -147,5 +151,6 @@ def generate_trace(
     jump_times, levels = phase_jump_process(config, duration, rng)
     n = int(round(duration / dt))
     t = np.arange(n) * dt
-    theta = levels[np.searchsorted(jump_times, t, side="right")]
-    return FieldTrace(dt=dt, samples=config.amplitude * np.exp(1j * theta))
+    # Level i + 1 starts at the first sample instant at or after jump i.
+    runs = np.diff(np.searchsorted(t, jump_times, side="left"), prepend=0, append=n)
+    return FieldTrace(dt=dt, samples=np.repeat(config.amplitude * np.exp(1j * levels), runs))

@@ -126,6 +126,47 @@ def test_balance_scales_source_two():
     assert np.allclose(out.i3, 0.5, atol=1e-12)  # balance * 1/4
 
 
+def per_sample_intensities(e1: FieldTrace, e2: FieldTrace, cfg: BenchConfig):
+    """Reference: the bench formulas evaluated at each sample on its own."""
+    f2 = e2.samples * (math.sqrt(cfg.balance) * np.exp(1j * cfg.phi_d))
+    out = []
+    for phi_i, eps_i in ((cfg.phi3, 1.0), (cfg.phi4, -1.0)):
+        amp = 0.5 * (eps_i * f2 * np.exp(-1j * phi_i) + e1.samples * np.exp(1j * phi_i))
+        out.append(amp.real ** 2 + amp.imag ** 2)
+    return out
+
+
+def source_pair(cfg, duration, dt, seed):
+    return tuple(generate_trace(cfg, duration, dt, np.random.default_rng(seed + i)) for i in (0, 1))
+
+
+def signed_zero_trace(seed, n=64):
+    rng = np.random.default_rng(seed)
+    # Real and imaginary parts drawn as pairs, so both keep the sign of zero.
+    parts = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), (n, 2))
+    return FieldTrace(dt=1e-7, samples=parts.view(complex).ravel())
+
+
+@pytest.mark.parametrize("pair, cfg", [
+    (lambda: source_pair(SRC, 2e-2, 1e-7, 1), BenchConfig(phi3=0.0, phi4=0.5 * math.pi)),
+    (lambda: source_pair(PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5),
+                         1.23456789e-3, 1.7e-7, 3),
+     BenchConfig(phi3=0.4, phi4=2.9, phi_d=1.1, balance=0.3)),
+    (lambda: (random_trace(np.random.default_rng(19), n=5000),) * 2,
+     BenchConfig(phi3=-0.7, phi4=0.2, phi_d=-2.0, balance=4.0)),
+    (lambda: (random_trace(np.random.default_rng(20), n=5000), random_trace(np.random.default_rng(21), n=5000)),
+     BenchConfig(phi3=1.3, phi4=0.1, phi_d=0.5)),
+    (lambda: (signed_zero_trace(18), signed_zero_trace(22)), BenchConfig(phi3=0.0, phi4=0.0, phi_d=0.0)),
+    (lambda: (constant_trace(0.3 - 0.2j, n=1), constant_trace(1j, n=1)), BenchConfig(phi3=0.5, phi4=1.5, phi_d=0.3)),
+], ids=["sources", "sources_unbalanced", "dense_same", "dense", "signed_zeros", "one_sample"])
+def test_propagate_is_bitwise_the_per_sample_bench(pair, cfg):
+    e1, e2 = pair()
+    out = propagate(e1, e2, cfg)
+    i3, i4 = per_sample_intensities(e1, e2, cfg)
+    assert out.i3.tobytes() == i3.tobytes()
+    assert out.i4.tobytes() == i4.tobytes()
+
+
 def test_mean_intensity_basics():
     tr = DetectorTraces(dt=1.0, i3=np.full(8, 0.3), i4=np.full(8, 0.9))
     assert mean_intensity(tr, 3) == pytest.approx(0.3, abs=1e-15)

@@ -131,6 +131,22 @@ def test_out_of_range_value_names_its_field(tmp_path, capsys, line, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration, tau_max", [("1e-9", "0"), ("1e-6", "0"), ("3e-6", "1.5e-6")])
+def test_record_shorter_than_the_batches_names_sim_duration(tmp_path, capsys, monkeypatch, duration, tau_max):
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "short.cfg"
+    path.write_text(f"sim.duration = {duration}\nsweep.tau_max = {tau_max}\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "sim.duration: overlap window" in capsys.readouterr().err
+
+
+def test_record_of_exactly_the_batches_is_accepted(tmp_path):
+    path = tmp_path / "short.cfg"
+    for duration, tau_max in (("2e-6", "0"), ("4e-6", "2e-6")):
+        path.write_text(f"sim.duration = {duration}\nsweep.tau_max = {tau_max}\n")
+        parse_config_file(path)
+
+
 def test_readme_config_block_is_the_schema_with_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)

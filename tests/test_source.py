@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,45 @@ def test_generate_warns_on_marginal_settings():
         generate_trace(CFG, 50 * T_C, 1e-7, rng)  # short record
 
 
+def per_sample_field(amplitude, jump_times, levels, n, dt):
+    """Reference: the field evaluated at each sample instant on its own."""
+    t = np.arange(n) * dt
+    return amplitude * np.exp(1j * levels[np.searchsorted(jump_times, t, side="right")])
+
+
+@pytest.mark.parametrize("cfg, duration, dt, seed", [
+    (CFG, 2e-2, 1e-7, 0),
+    (CFG, 2e-2, 1e-7, 7),
+    (PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5), 2e-3, 1e-7, 3),
+    (PhaseNoiseConfig(t_c=3e-6, t_min=2e-6, t_max=9e-6, amplitude=0.3), 1.23456789e-3, 1.7e-7, 11),
+])
+def test_trace_is_bitwise_the_per_sample_field(cfg, duration, dt, seed):
+    trace = generate_trace(cfg, duration, dt, np.random.default_rng(seed))
+    jump_times, levels = phase_jump_process(cfg, duration, np.random.default_rng(seed))
+    expected = per_sample_field(cfg.amplitude, jump_times, levels, int(round(duration / dt)), dt)
+    assert trace.samples.tobytes() == expected.tobytes()
+
+
+def test_jump_on_a_sample_instant_takes_effect_there(monkeypatch):
+    dt, n = 1e-7, 2000
+    # On instants 3 and 9, two jumps between instants 12 and 13 (level 3 is
+    # never sampled), and one at the end of the record.
+    jump_times = np.array([3, 9, 12.25, 12.5, n]) * dt
+    levels = 2.0 * math.pi * np.random.default_rng(5).random(len(jump_times) + 1)
+    monkeypatch.setattr("hbtsim.source.phase_jump_process", lambda *args: (jump_times, levels))
+    trace = generate_trace(CFG, n * dt, dt, np.random.default_rng(0))
+    expected = per_sample_field(CFG.amplitude, jump_times, levels, n, dt)
+    assert trace.samples.tobytes() == expected.tobytes()
+    assert trace.samples[3] == np.exp(1j * levels[1]) != trace.samples[2]
+
+
+def test_one_sample_trace_is_bitwise_the_per_sample_field():
+    with pytest.warns(UserWarning):  # short record
+        trace = generate_trace(CFG, 1e-7, 1e-7, np.random.default_rng(4))
+    jump_times, levels = phase_jump_process(CFG, 1e-7, np.random.default_rng(4))
+    assert trace.samples.tobytes() == per_sample_field(1.0, jump_times, levels, 1, 1e-7).tobytes()
+
+
 def test_g1_zero_delay_is_exactly_one():
     trace = generate_trace(CFG, 2e-3, 1e-7, np.random.default_rng(0))
     assert first_order_coherence(trace, 0.0) == 1.0 + 0.0j
@@ -137,6 +177,15 @@ def test_g1_insufficient_overlap():
         first_order_coherence(trace, 1.5e-3)
     with pytest.raises(ValueError):
         first_order_coherence(trace, -1e-6)
+
+
+def test_g1_zero_power_window_raises():
+    trace = FieldTrace(dt=1e-7, samples=np.zeros(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in (0.0, 2e-7):
+            with pytest.raises(InsufficientDataError, match="zero field power"):
+                first_order_coherence(trace, tau)
 
 
 def test_g1_decay_monotone_over_seeds():
