@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress, count, islice, repeat
+from operator import ne
 
 import numpy as np
 
@@ -125,35 +127,60 @@ def mean_intensity(traces: DetectorTraces, which: int) -> float:
 
 
 def save_detector_traces(traces: DetectorTraces, path) -> None:
-    write_csv(
-        path,
-        f"# dt={_fmt(traces.dt)}",
-        (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(traces.i3, traces.i4)),
-    )
+    """Write ``traces`` as a ``# dt=`` header and one ``i3,i4`` row per sample.
+
+    The fields are piecewise constant, so the rows come in runs of equal
+    ``(i3, i4)`` pairs.  Each run's line is formatted once and repeated
+    over the run.  Runs are split where the bit pattern changes, since
+    ``-0.0 == 0.0`` but their reprs differ, so the bytes are those of
+    formatting every row on its own.
+    """
+    b3, b4 = traces.i3.view(np.int64), traces.i4.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], (b3[1:] != b3[:-1]) | (b4[1:] != b4[:-1]))))
+    runs = np.diff(starts, append=len(traces)).tolist()
+    lines = (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(traces.i3[starts].tolist(), traces.i4[starts].tolist()))
+    write_csv(path, f"# dt={_fmt(traces.dt)}", chain.from_iterable(map(repeat, lines, runs)))
 
 
 def load_detector_traces(path) -> DetectorTraces:
+    """Read a file written by ``save_detector_traces``.
+
+    Blank lines and ``#`` lines after the header are skipped.  A data line
+    is parsed only where it differs from the line before it, and a pair
+    equal to the previous data line's is reused, so the work is per run of
+    equal lines; the traces are built by repeating each pair over its
+    count.  A malformed or out-of-range value is reported at the first line
+    where it appears.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise TraceFormatError(1, "empty file")
     dt = parse_dt_header(lines[0], 1)
-    i3_parts, i4_parts = [], []
+    # Index of each line that differs from the line before it: lines in
+    # [starts[k], starts[k + 1]) are all equal.
+    starts = [*compress(count(1), map(ne, islice(lines, 1, None), lines)), len(lines)]
+    pairs, counts = [], []
     inf = math.inf
-    for i, line in enumerate(lines[1:], start=2):
+    prev, pair = None, None
+    for i, end in zip(starts, starts[1:]):
+        line = lines[i]
         if not line or line.startswith("#"):
             continue
-        cells = line.split(",")
-        if len(cells) != 2:
-            raise TraceFormatError(i, f"expected 'i3,i4', got {line!r}")
-        try:
-            a, b = float(cells[0]), float(cells[1])
-        except ValueError:
-            raise TraceFormatError(i, f"unparseable number in {line!r}") from None
-        if not (0.0 <= a < inf and 0.0 <= b < inf):
-            raise TraceFormatError(i, f"intensities must be finite and >= 0, got {line!r}")
-        i3_parts.append(a)
-        i4_parts.append(b)
-    if not i3_parts:
+        if line != prev:
+            cells = line.split(",")
+            if len(cells) != 2:
+                raise TraceFormatError(i + 1, f"expected 'i3,i4', got {line!r}")
+            try:
+                pair = float(cells[0]), float(cells[1])
+            except ValueError:
+                raise TraceFormatError(i + 1, f"unparseable number in {line!r}") from None
+            if not (0.0 <= pair[0] < inf and 0.0 <= pair[1] < inf):
+                raise TraceFormatError(i + 1, f"intensities must be finite and >= 0, got {line!r}")
+            prev = line
+        pairs.append(pair)
+        counts.append(end - i)
+    if not pairs:
         raise TraceFormatError(len(lines), "no samples")
-    return DetectorTraces(dt=dt, i3=np.array(i3_parts), i4=np.array(i4_parts))
+    i3, i4 = np.repeat(np.array(pairs), counts, axis=0).T
+    return DetectorTraces(dt=dt, i3=i3, i4=i4)

@@ -88,6 +88,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.sweep.tau_max > self.sim.duration / 2.0:
             raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
+        if self.sweep.tau_steps == 1 and self.sweep.tau_max > 0.0:
+            raise ConfigError("sweep.tau_steps", ONE_DELAY_STEP)
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
@@ -237,6 +239,9 @@ def _g2_cells(tau: float, results: list[CorrelationResult], i3_mean: float, i4_m
 
 
 SWEEP_COLUMNS = ["phi34_rad", *_g2_columns(SCAN_KINDS), "oracle_g2_cross", "oracle_g2_self"]
+
+
+ONE_DELAY_STEP = "a grid of 1 step holds only the delay 0; use >= 2 steps or a tau_max of 0"
 
 
 def delay_grid(tau_max: float, steps: int, dt: float) -> np.ndarray:
@@ -400,6 +405,8 @@ def _analyze_taus(args, dt: float) -> list[float]:
             raise ConfigError("--tau-max", "must be finite and >= 0")
         if args.tau_steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
+        if args.tau_steps == 1 and args.tau_max > 0.0:
+            raise ConfigError("--tau-steps", ONE_DELAY_STEP)
         check_fits_in_memory("--tau-steps", args.tau_steps, "delays", 1000)
         return [float(t) for t in delay_grid(args.tau_max, args.tau_steps, dt)]
     return [0.0]

@@ -150,7 +150,14 @@ def generate_trace(
         warnings.warn("duration below 100*t_c; estimators will be noisy", stacklevel=2)
     jump_times, levels = phase_jump_process(config, duration, rng)
     n = int(round(duration / dt))
-    t = np.arange(n) * dt
-    # Level i + 1 starts at the first sample instant at or after jump i.
-    runs = np.diff(np.searchsorted(t, jump_times, side="left"), prepend=0, append=n)
+    # Level i + 1 starts at the first sample instant k * dt at or after jump
+    # i (or at n if there is none).  The quotient may round across an
+    # integer, so step k until it is the least with k * dt >= jump_time as
+    # floats, the instants a per-sample grid would hold.
+    k = np.ceil(jump_times / dt)
+    while np.any(early := k * dt < jump_times):
+        k += early
+    while np.any(late := (k - 1.0) * dt >= jump_times):
+        k -= late
+    runs = np.diff(np.minimum(k, n).astype(np.intp), prepend=0, append=n)
     return FieldTrace(dt=dt, samples=np.repeat(config.amplitude * np.exp(1j * levels), runs))

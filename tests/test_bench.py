@@ -244,6 +244,51 @@ def test_detector_csv_errors(tmp_path):
             load_detector_traces(path)
 
 
+def per_row_csv(traces: DetectorTraces) -> str:
+    """Reference writer: every row formatted on its own."""
+    rows = [f"{a!r},{b!r}\n" for a, b in zip(traces.i3.tolist(), traces.i4.tolist())]
+    return f"# dt={traces.dt!r}\n" + "".join(rows)
+
+
+@pytest.mark.parametrize("i3, i4", [
+    ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0]),
+    ([0.1, 0.2, 0.2, 0.2, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4]),
+    (np.random.default_rng(23).random(1000), np.random.default_rng(24).random(1000)),
+    (np.full(1000, 0.25), np.full(1000, 1.0 / 3.0)),
+    ([0.7], [0.0]),
+], ids=["signed_zeros", "runs_of_one_at_both_ends", "every_row_differs", "every_row_same", "one_row"])
+def test_detector_csv_is_the_per_row_bytes(tmp_path, i3, i4):
+    traces = DetectorTraces(dt=1.7e-7, i3=np.array(i3), i4=np.array(i4))
+    path = tmp_path / "det.csv"
+    save_detector_traces(traces, path)
+    assert path.read_bytes() == per_row_csv(traces).encode()
+    back = load_detector_traces(path)
+    assert back.dt == traces.dt
+    assert back.i3.tobytes() == traces.i3.tobytes()
+    assert back.i4.tobytes() == traces.i4.tobytes()
+
+
+def test_detector_csv_skips_comments_and_blanks_inside_a_run(tmp_path):
+    path = tmp_path / "det.csv"
+    path.write_text("# dt=1e-07\n0.1,0.2\n0.1,0.2\n# note\n\n0.1,0.2\n0.3,0.4\n\n0.3,0.4\n0.1,0.2\n")
+    back = load_detector_traces(path)
+    assert back.i3.tolist() == [0.1, 0.1, 0.1, 0.3, 0.3, 0.1]
+    assert back.i4.tolist() == [0.2, 0.2, 0.2, 0.4, 0.4, 0.2]
+
+
+@pytest.mark.parametrize("bad", ["0.1,-0.2", "zap,0.2", "nan,0.2", "0.1,0.2,0.3"])
+def test_detector_csv_error_names_the_first_bad_line(tmp_path, bad):
+    path = tmp_path / "bad.csv"
+    # after a long run of equal good lines
+    path.write_text("# dt=1e-07\n" + "0.1,0.2\n" * 1000 + f"{bad}\n" + "0.1,0.2\n" * 3)
+    with pytest.raises(TraceFormatError, match="^line 1002:"):
+        load_detector_traces(path)
+    # repeated, also after a comment that splits the good run
+    path.write_text("# dt=1e-07\n0.1,0.2\n# c\n0.1,0.2\n" + f"{bad}\n" * 5 + "0.1,0.2\n")
+    with pytest.raises(TraceFormatError, match="^line 5:"):
+        load_detector_traces(path)
+
+
 def test_detector_traces_validation():
     with pytest.raises(ValueError):
         DetectorTraces(dt=1.0, i3=np.ones(4), i4=np.ones(5))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 import warnings
@@ -147,6 +148,20 @@ def test_record_of_exactly_the_batches_is_accepted(tmp_path):
         parse_config_file(path)
 
 
+@pytest.mark.parametrize("tau_max", ["5e-5", "1e-7"])
+def test_one_delay_step_with_positive_tau_max_names_sweep_tau_steps(tmp_path, capsys, monkeypatch, tau_max):
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "one.cfg"
+    path.write_text(f"sim.duration = 2e-3\nsweep.tau_max = {tau_max}\nsweep.tau_steps = 1\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "sweep.tau_steps:" in capsys.readouterr().err
+
+
+def test_one_delay_step_at_zero_tau_max_is_accepted():
+    cfg = build_run_config({"sweep.tau_max": 0.0, "sweep.tau_steps": 1})
+    assert list(sweep_grids(cfg)[1]) == [0.0]
+
+
 def test_readme_config_block_is_the_schema_with_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
@@ -277,6 +292,29 @@ def test_analyze_round_trip_matches_pipeline_bitwise(tmp_path, small_cfg_path):
     assert got == expected  # bit-for-bit
 
 
+# SHA-256 of `hbt simulate --seed 7` and of `hbt analyze --tau-max 5e-5` on
+# its output at sim.duration = 2e-3, as written before the trace CSV became
+# run-wise (numpy 2.4, x86-64).
+GOLDEN_DIGESTS = {
+    "default": ("", "92fc70970583f3597ebdffec49b4e24a0105b5ca300aaf653de66a439121fbbc",
+                "6f1ae273be478e138261429b108c32455bea56f240ec77bb740349579f04e366"),
+    "unbalanced": ("bench.balance = 0.5\nbench.phi_d = 30 deg\n",
+                   "3daf4d19ab83cdc1ca527673532c46219eab2621f648d85f9c91951c23d01d65",
+                   "34d0f8916dc6d738876524c6d6ccd3f1fe5712d104c1b8507566466a9e3aabc4"),
+}
+
+
+@pytest.mark.parametrize("lines, simulate_digest, analyze_digest", GOLDEN_DIGESTS.values(), ids=GOLDEN_DIGESTS)
+def test_simulate_and_analyze_bytes_are_pinned(tmp_path, lines, simulate_digest, analyze_digest):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration = 2e-3\n" + lines)
+    traces, g2 = tmp_path / "traces.csv", tmp_path / "g2.csv"
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(traces)]) == 0
+    assert main(["analyze", str(traces), "--tau-max", "5e-5", "--out", str(g2)]) == 0
+    assert hashlib.sha256(traces.read_bytes()).hexdigest() == simulate_digest
+    assert hashlib.sha256(g2.read_bytes()).hexdigest() == analyze_digest
+
+
 def test_analyze_constant_file_gives_unity(tmp_path):
     path = tmp_path / "const.csv"
     traces = DetectorTraces(dt=1e-7, i3=np.full(500, 0.2), i4=np.full(500, 0.4))
@@ -352,6 +390,19 @@ def test_analyze_tau_steps_bounded_before_allocating(tmp_path, capsys, monkeypat
             "--out", str(tmp_path / "o.csv")]
     assert main(argv) == 2
     assert "--tau-steps" in capsys.readouterr().err
+
+
+def test_analyze_one_delay_step_with_positive_tau_max_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "const.csv"
+    save_detector_traces(
+        DetectorTraces(dt=1e-7, i3=np.full(200, 1.0), i4=np.full(200, 1.0)), path
+    )
+    out = tmp_path / "o.csv"
+    argv = ["analyze", str(path), "--tau-steps", "1", "--out", str(out)]
+    assert main([*argv, "--tau-max", "1e-7"]) == 2
+    assert "--tau-steps:" in capsys.readouterr().err
+    assert main([*argv, "--tau-max", "0"]) == 0
+    assert [float(r[0]) for r in read_rows(out)[1]] == [0.0]
 
 
 @pytest.mark.parametrize("dark", [slice(None), slice(0, 100)], ids=["column", "one_batch"])

@@ -159,6 +159,21 @@ def test_jump_on_a_sample_instant_takes_effect_there(monkeypatch):
     assert trace.samples[3] == np.exp(1j * levels[1]) != trace.samples[2]
 
 
+@pytest.mark.parametrize("dt", [1e-7, 1.7e-7, 3e-7 / 7])
+def test_jump_placement_is_the_sample_grid_search(monkeypatch, dt):
+    n = 30000
+    # On instants k * dt as the grid computes them, and one float either side.
+    on = np.arange(1, n + 1, 3) * dt
+    jump_times = np.unique(np.concatenate([np.nextafter(on, 0.0), on, np.nextafter(on, np.inf)]))
+    jump_times = jump_times[jump_times <= n * dt]
+    levels = 2.0 * math.pi * np.random.default_rng(6).random(len(jump_times) + 1)
+    monkeypatch.setattr("hbtsim.source.phase_jump_process", lambda *args: (jump_times, levels))
+    trace = generate_trace(CFG, n * dt, dt, np.random.default_rng(0))
+    first = np.searchsorted(np.arange(n) * dt, jump_times, side="left")
+    expected = np.repeat(np.exp(1j * levels), np.diff(first, prepend=0, append=n))
+    assert trace.samples.tobytes() == expected.tobytes()
+
+
 def test_one_sample_trace_is_bitwise_the_per_sample_field():
     with pytest.warns(UserWarning):  # short record
         trace = generate_trace(CFG, 1e-7, 1e-7, np.random.default_rng(4))
