@@ -11,12 +11,18 @@ detector field is
 with u_i1 = 1 and u_i2 = e^{i phi_d} (the arm-2 propagation factor carries
 the dynamical phase), and the recorded intensity is |E_i|^2 summed over the
 two polarization components.
+
+Detector traces, like source traces, are stored as runs of equal samples:
+``propagate`` evaluates the bench once per run of the union of both
+sources' runs, the CSV writer and reader work run by run, and the
+per-sample ``i3``/``i4`` are built on first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import ne
 
@@ -25,7 +31,7 @@ import numpy as np
 from .csvutil import fmt_float as _fmt
 from .csvutil import parse_dt_header, write_csv
 from .errors import IncompatibleTracesError, TraceFormatError
-from .source import FieldTrace
+from .source import FieldTrace, RunLengthRecord, run_starts
 
 EPSILON_3 = 1.0
 EPSILON_4 = -1.0
@@ -48,33 +54,53 @@ class BenchConfig:
             raise ValueError("balance must be > 0")
 
 
-@dataclass(frozen=True, eq=False)
-class DetectorTraces:
-    """Paired nonnegative intensity time series at detectors 3 and 4."""
+class DetectorTraces(RunLengthRecord):
+    """Paired nonnegative intensity time series at detectors 3 and 4, stored
+    as runs: ``values[r]`` is the pair (I3, I4) held over run ``r``.
 
-    dt: float
-    i3: np.ndarray
-    i4: np.ndarray
+    ``DetectorTraces(dt, i3, i4)`` finds the runs of per-sample arrays;
+    ``i3`` and ``i4`` are built from the runs on first read.  Each record
+    owns the work buffers its estimators write into, so one record must not
+    be estimated from two threads at once.
+    """
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("dt must be positive and finite")
-        i3 = np.asarray(self.i3, dtype=float)
-        i4 = np.asarray(self.i4, dtype=float)
+    _empty = "i3 and i4 must be nonempty 1-d arrays of equal length"
+
+    def __init__(self, dt: float, i3, i4):
+        i3 = np.asarray(i3, dtype=float)
+        i4 = np.asarray(i4, dtype=float)
         if i3.ndim != 1 or i4.ndim != 1 or len(i3) != len(i4) or len(i3) == 0:
-            raise ValueError("i3 and i4 must be nonempty 1-d arrays of equal length")
-        if not (np.all(np.isfinite(i3)) and np.all(np.isfinite(i4))):
-            raise ValueError("intensities must be finite")
-        if np.any(i3 < 0.0) or np.any(i4 < 0.0):
-            raise ValueError("intensities must be nonnegative")
-        i3, i4 = i3.copy(), i4.copy()
-        i3.flags.writeable = False
-        i4.flags.writeable = False
-        object.__setattr__(self, "i3", i3)
-        object.__setattr__(self, "i4", i4)
+            raise ValueError(self._empty)
+        starts = run_starts(i3, i4)
+        self._set_runs(dt, len(i3), starts, np.stack((i3[starts], i4[starts]), axis=1))
 
-    def __len__(self) -> int:
-        return len(self.i3)
+    @staticmethod
+    def _checked_values(values, runs: int) -> np.ndarray:
+        values = np.array(values, dtype=float)
+        if values.shape != (runs, 2):
+            raise ValueError("expected one (i3, i4) pair per run")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("intensities must be finite")
+        if np.any(values < 0.0):
+            raise ValueError("intensities must be nonnegative")
+        return values
+
+    @cached_property
+    def i3(self) -> np.ndarray:
+        return self._expand(self.values[:, 0])
+
+    @cached_property
+    def i4(self) -> np.ndarray:
+        return self._expand(self.values[:, 1])
+
+    @cached_property
+    def work_buffers(self) -> tuple[np.ndarray, np.ndarray]:
+        """Two float arrays of length ``n`` that estimators overwrite."""
+        # Owned by the record, not allocated per estimate: window-sized
+        # temporaries sit near glibc's dynamic mmap threshold, so per-call
+        # arrays would each be freshly mapped and page-faulted unless some
+        # larger array happened to be freed first and raise the threshold.
+        return np.empty(self.n), np.empty(self.n)
 
     def series(self, which: int) -> np.ndarray:
         """The intensity series of detector ``which`` (3 or 4)."""
@@ -92,30 +118,35 @@ def propagate(
 ) -> DetectorTraces:
     """Push two source traces through the bench.
 
-    The intensities are computed once per run of samples over which neither
-    input field changes and repeated over the run, bitwise equal to
-    computing them sample by sample.  ``config.balance`` scales the source-2
-    intensity before the bench so that <I2>/<I1> = balance for
+    The intensities are computed once per run of the union of both traces'
+    runs, over which neither input field changes, bitwise equal to
+    computing them sample by sample.  ``config.balance`` scales the
+    source-2 intensity before the bench so that <I2>/<I1> = balance for
     equal-amplitude inputs.
     """
     if e1.dt != e2.dt:
         raise IncompatibleTracesError(f"dt mismatch: {e1.dt!r} vs {e2.dt!r}")
-    if len(e1.samples) != len(e2.samples):
-        raise IncompatibleTracesError(
-            f"length mismatch: {len(e1.samples)} vs {len(e2.samples)}"
-        )
-    s1, s2 = e1.samples, e2.samples
-    starts = np.flatnonzero(np.concatenate(([True], (s1[1:] != s1[:-1]) | (s2[1:] != s2[:-1]))))
-    runs = np.diff(starts, append=len(s1))
-    f1 = s1[starts]
-    f2 = s2[starts] * (math.sqrt(config.balance) * np.exp(1j * config.phi_d))
-    intensities = []
-    for phi_i, eps_i in ((config.phi3, EPSILON_3), (config.phi4, EPSILON_4)):
+    if e1.n != e2.n:
+        raise IncompatibleTracesError(f"length mismatch: {e1.n} vs {e2.n}")
+    # Merge the two sorted start lists (a stable sort of two sorted runs is
+    # a linear merge).  At the last of each group of equal starts, the
+    # number of each trace's starts so far, less one, is the run it is in.
+    both = np.concatenate((e1.starts, e2.starts))
+    order = np.argsort(both, kind="stable")
+    merged = both[order]
+    last = np.append(merged[1:] != merged[:-1], True)
+    from1 = order < len(e1.starts)
+    starts = merged[last]
+    f1 = e1.values[np.cumsum(from1)[last] - 1]
+    f2 = e2.values[np.cumsum(~from1)[last] - 1]
+    f2 = f2 * (math.sqrt(config.balance) * np.exp(1j * config.phi_d))
+    values = np.empty((len(starts), 2))
+    for col, (phi_i, eps_i) in enumerate(((config.phi3, EPSILON_3), (config.phi4, EPSILON_4))):
         # E_i = (1/sqrt(2)) <phi_i|v> |phi_i> with v = eps*f2|L> + f1|R>;
         # the R/L components of |phi_i> are e^{-+i phi_i}/sqrt(2).
         amp = 0.5 * (eps_i * f2 * np.exp(-1j * phi_i) + f1 * np.exp(1j * phi_i))
-        intensities.append(np.repeat(amp.real ** 2 + amp.imag ** 2, runs))
-    return DetectorTraces(dt=e1.dt, i3=intensities[0], i4=intensities[1])
+        values[:, col] = amp.real ** 2 + amp.imag ** 2
+    return DetectorTraces.from_runs(e1.dt, e1.n, starts, values)
 
 
 def mean_intensity(traces: DetectorTraces, which: int) -> float:
@@ -129,17 +160,11 @@ def mean_intensity(traces: DetectorTraces, which: int) -> float:
 def save_detector_traces(traces: DetectorTraces, path) -> None:
     """Write ``traces`` as a ``# dt=`` header and one ``i3,i4`` row per sample.
 
-    The fields are piecewise constant, so the rows come in runs of equal
-    ``(i3, i4)`` pairs.  Each run's line is formatted once and repeated
-    over the run.  Runs are split where the bit pattern changes, since
-    ``-0.0 == 0.0`` but their reprs differ, so the bytes are those of
-    formatting every row on its own.
+    The rows are written from the runs: each run's line is formatted once
+    and repeated over the run, the bytes of formatting every row on its own.
     """
-    b3, b4 = traces.i3.view(np.int64), traces.i4.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], (b3[1:] != b3[:-1]) | (b4[1:] != b4[:-1]))))
-    runs = np.diff(starts, append=len(traces)).tolist()
-    lines = (f"{_fmt(a)},{_fmt(b)}" for a, b in zip(traces.i3[starts].tolist(), traces.i4[starts].tolist()))
-    write_csv(path, f"# dt={_fmt(traces.dt)}", chain.from_iterable(map(repeat, lines, runs)))
+    lines = (f"{_fmt(a)},{_fmt(b)}" for a, b in traces.values.tolist())
+    write_csv(path, f"# dt={_fmt(traces.dt)}", chain.from_iterable(map(repeat, lines, traces.counts.tolist())))
 
 
 def load_detector_traces(path) -> DetectorTraces:
@@ -148,9 +173,8 @@ def load_detector_traces(path) -> DetectorTraces:
     Blank lines and ``#`` lines after the header are skipped.  A data line
     is parsed only where it differs from the line before it, and a pair
     equal to the previous data line's is reused, so the work is per run of
-    equal lines; the traces are built by repeating each pair over its
-    count.  A malformed or out-of-range value is reported at the first line
-    where it appears.
+    equal lines, and the runs are the traces' stored form.  A malformed or
+    out-of-range value is reported at the first line where it appears.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -160,7 +184,7 @@ def load_detector_traces(path) -> DetectorTraces:
     # Index of each line that differs from the line before it: lines in
     # [starts[k], starts[k + 1]) are all equal.
     starts = [*compress(count(1), map(ne, islice(lines, 1, None), lines)), len(lines)]
-    pairs, counts = [], []
+    pairs, row_starts, n = [], [], 0
     inf = math.inf
     prev, pair = None, None
     for i, end in zip(starts, starts[1:]):
@@ -179,8 +203,8 @@ def load_detector_traces(path) -> DetectorTraces:
                 raise TraceFormatError(i + 1, f"intensities must be finite and >= 0, got {line!r}")
             prev = line
         pairs.append(pair)
-        counts.append(end - i)
+        row_starts.append(n)
+        n += end - i
     if not pairs:
         raise TraceFormatError(len(lines), "no samples")
-    i3, i4 = np.repeat(np.array(pairs), counts, axis=0).T
-    return DetectorTraces(dt=dt, i3=i3, i4=i4)
+    return DetectorTraces.from_runs(dt, n, row_starts, pairs)

@@ -15,6 +15,12 @@ recomputed per batch, and the spread of batch values / sqrt(n_batches) is
 reported.  With the default geometry each batch spans >= 50 coherence
 times, so serial correlation within a batch does not bias the error estimate
 much.
+
+The g2 estimators allocate nothing of the window's size: they write the
+centred windows into the two ``DetectorTraces.work_buffers`` of the record,
+batches first and then the whole window, so every reduction reads the same
+contiguous operands a fresh temporary would hold and the values keep their
+bits.  One record must therefore not be estimated from two threads at once.
 """
 
 from __future__ import annotations
@@ -66,20 +72,24 @@ def _delay_index(tau: float, dt: float, n_total: int) -> int:
     return k
 
 
-def _normalized_product_mean(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """<xy>/(<x><y>) along the last axis of nonnegative ``x`` and ``y``."""
+def _normalized_product_mean(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """<xy>/(<x><y>) along the last axis of nonnegative ``x`` and ``y``;
+    ``dx`` and ``dy`` are work arrays of the same shape, overwritten."""
     mx = x.mean(axis=-1, keepdims=True)
     my = y.mean(axis=-1, keepdims=True)
     if not (mx.min() > 0.0 and my.min() > 0.0):
         raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
     # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
     # and free of the large-term cancellation.
-    return 1.0 + np.mean((x - mx) * (y - my), axis=-1) / (mx * my)[..., 0]
+    np.subtract(x, mx, out=dx)
+    np.subtract(y, my, out=dy)
+    return 1.0 + np.multiply(dx, dy, out=dx).mean(axis=-1) / (mx * my)[..., 0]
 
 
-def _g2(x: np.ndarray, y: np.ndarray, dt: float, tau: float, n_batches: int) -> CorrelationResult:
+def _g2(traces: DetectorTraces, x: np.ndarray, y: np.ndarray, tau: float, n_batches: int) -> CorrelationResult:
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
+    dt = traces.dt
     k = _delay_index(tau, dt, len(x))
     n = len(x) - k
     if n < n_batches:
@@ -89,24 +99,24 @@ def _g2(x: np.ndarray, y: np.ndarray, dt: float, tau: float, n_batches: int) -> 
     xw = x[:n]
     yw = y[k : k + n]
     m = n // n_batches
-    xb = xw[: m * n_batches].reshape(n_batches, m)
-    yb = yw[: m * n_batches].reshape(n_batches, m)
+    dx, dy = traces.work_buffers
+    batched = [a[: m * n_batches].reshape(n_batches, m) for a in (xw, yw, dx, dy)]
     # Batches first: positive batch means imply a positive window mean.
-    batch_vals = _normalized_product_mean(xb, yb)
-    value = float(_normalized_product_mean(xw, yw))
+    batch_vals = _normalized_product_mean(*batched)
+    value = float(_normalized_product_mean(xw, yw, dx[:n], dy[:n]))
     std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
     return CorrelationResult(value=value, tau=k * dt, n_samples=n, std_error=std_error)
 
 
 def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
-    return _g2(traces.i3, traces.i4, traces.dt, tau, n_batches)
+    return _g2(traces, traces.i3, traces.i4, tau, n_batches)
 
 
 def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
     series = traces.series(which)
-    return _g2(series, series, traces.dt, tau, n_batches)
+    return _g2(traces, series, series, tau, n_batches)
 
 
 def g2_delay_scan(
@@ -131,7 +141,7 @@ def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     Both averages run over the same overlap window; tau = 0 returns exactly 1
     unless the window has zero power.
     """
-    n_total = len(trace.samples)
+    n_total = len(trace)
     k = _delay_index(tau, trace.dt, n_total)
     n = n_total - k
     head = trace.samples[:n]

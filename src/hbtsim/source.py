@@ -6,9 +6,11 @@ uniformly on the circle.  Dwell times follow an exponential of scale ``t_c``
 truncated to [t_min, t_max] and renormalized there, so the coherence of the
 field is lost on the scale t_c while every dwell resolves the sample grid.
 The instantaneous intensity |E|^2 never fluctuates: all the noise is in the
-phase.  Because the field is constant between jumps, a trace evaluates the
-field once per phase level and repeats it over the level's samples; this is
-bitwise equal to evaluating it at every sample.
+phase.  Because the field is constant between jumps, runs of equal samples
+are the stored form of a trace: ``generate_trace`` evaluates the field once
+per phase level it keeps, and the per-sample array is built only when
+``FieldTrace.samples`` is first read, bitwise equal to evaluating the field
+at every sample.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,28 +47,102 @@ def default_source_config() -> PhaseNoiseConfig:
     return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldTrace:
-    """Uniformly sampled complex field: sample period ``dt`` and samples."""
+def run_starts(*columns: np.ndarray) -> np.ndarray:
+    """The first sample of each run over which no column changes its bit
+    pattern.  Bits, not values: ``-0.0 == 0.0`` but the two differ in the
+    sign of what is computed from them and in their reprs, so repeating
+    each run's first sample gives back the columns byte for byte."""
+    n = len(columns[0])
+    changed = np.zeros(n - 1, dtype=bool)
+    for column in columns:
+        bits = np.ascontiguousarray(column).view(np.int64).reshape(n, -1)
+        changed |= (bits[1:] != bits[:-1]).any(axis=1)
+    return np.flatnonzero(np.concatenate(([True], changed)))
 
-    dt: float
-    samples: np.ndarray
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
+class RunLengthRecord:
+    """``n`` samples of period ``dt`` stored as runs: run ``r`` holds
+    ``values[r]`` on samples ``starts[r]`` up to the next start (or ``n``).
+
+    ``from_runs`` takes the runs as they are; a subclass's per-sample
+    constructor finds them with ``run_starts``.  ``starts`` and ``values``
+    are read-only; adjacent runs may hold equal values.
+    """
+
+    _empty = "a record needs at least one sample"
+
+    @classmethod
+    def from_runs(cls, dt: float, n: int, starts, values):
+        """The record of ``n`` samples whose runs start at ``starts`` and
+        hold ``values``, checked and copied."""
+        record = cls.__new__(cls)
+        record._set_runs(dt, n, starts, values)
+        return record
+
+    def _set_runs(self, dt: float, n: int, starts, values) -> None:
+        if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("dt must be positive and finite")
-        samples = np.asarray(self.samples, dtype=complex)
+        if n < 1:
+            raise ValueError(self._empty)
+        starts = np.array(starts, dtype=np.intp)
+        if not (starts.ndim == 1 and starts.size and starts[0] == 0 and starts[-1] < n
+                and np.all(starts[1:] > starts[:-1])):
+            raise ValueError("runs must start at sample 0, then at increasing samples below n")
+        values = self._checked_values(values, len(starts))
+        starts.flags.writeable = False
+        values.flags.writeable = False
+        self.dt, self.n, self.starts, self.values = dt, int(n), starts, values
+
+    @staticmethod
+    def _checked_values(values, runs: int) -> np.ndarray:
+        """A private copy of the run values, checked."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self.n
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The number of samples in each run."""
+        return np.diff(self.starts, append=self.n)
+
+    def _expand(self, values: np.ndarray) -> np.ndarray:
+        """Per-sample, read-only: each run's value repeated over its run."""
+        out = np.repeat(values, self.counts)
+        out.flags.writeable = False
+        return out
+
+
+class FieldTrace(RunLengthRecord):
+    """Uniformly sampled complex field of period ``dt``, stored as runs of
+    equal samples.  ``FieldTrace(dt, samples)`` finds the runs of a
+    per-sample array; ``samples`` is built from the runs on first read."""
+
+    _empty = "samples must be a nonempty 1-d array"
+
+    def __init__(self, dt: float, samples):
+        samples = np.asarray(samples, dtype=complex)
         if samples.ndim != 1 or samples.size == 0:
-            raise ValueError("samples must be a nonempty 1-d array")
-        if not np.all(np.isfinite(samples)):
+            raise ValueError(self._empty)
+        starts = run_starts(samples)
+        self._set_runs(dt, len(samples), starts, samples[starts])
+
+    @staticmethod
+    def _checked_values(values, runs: int) -> np.ndarray:
+        values = np.array(values, dtype=complex)
+        if values.shape != (runs,):
+            raise ValueError("expected one field value per run")
+        if not np.all(np.isfinite(values)):
             raise ValueError("samples must be finite")
-        samples = samples.copy()
-        samples.flags.writeable = False
-        object.__setattr__(self, "samples", samples)
+        return values
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return self._expand(self.values)
 
     @property
     def duration(self) -> float:
-        return len(self.samples) * self.dt
+        return self.n * self.dt
 
 
 def sample_dwell(config: PhaseNoiseConfig, u):
@@ -132,9 +209,9 @@ def generate_trace(
     """Sample the phase-noise field on a uniform grid of period ``dt``.
 
     A jump landing between sample instants takes effect at the next sample
-    (sample-and-hold), unbiased for dt << t_min.  The field is computed once
-    per phase level and repeated over that level's run of samples, bitwise
-    equal to computing it per sample.  dt > t_min would alias
+    (sample-and-hold), unbiased for dt << t_min.  The trace is built from its
+    runs: the field is computed once per phase level that holds at least one
+    sample, bitwise equal to computing it per sample.  dt > t_min would alias
     whole dwells and raises SamplingTooCoarseError; dt above the recommended
     t_min/4, or duration below the recommended 100*t_c, only warns.
     """
@@ -159,5 +236,7 @@ def generate_trace(
         k += early
     while np.any(late := (k - 1.0) * dt >= jump_times):
         k -= late
-    runs = np.diff(np.minimum(k, n).astype(np.intp), prepend=0, append=n)
-    return FieldTrace(dt=dt, samples=np.repeat(config.amplitude * np.exp(1j * levels), runs))
+    starts = np.concatenate(([0], np.minimum(k, n).astype(np.intp)))
+    # A level whose next jump comes before its first sample holds none.
+    kept = np.diff(starts, append=n) > 0
+    return FieldTrace.from_runs(dt, n, starts[kept], config.amplitude * np.exp(1j * levels[kept]))

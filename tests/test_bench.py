@@ -140,6 +140,19 @@ def source_pair(cfg, duration, dt, seed):
     return tuple(generate_trace(cfg, duration, dt, np.random.default_rng(seed + i)) for i in (0, 1))
 
 
+def shared_jump_pair(seed):
+    """A generated trace, and a second one that jumps on the same samples."""
+    e1 = generate_trace(SRC, 2e-3, 1e-7, np.random.default_rng(seed))
+    values = np.exp(2j * math.pi * np.random.default_rng(seed + 1).random(len(e1.starts)))
+    return e1, FieldTrace.from_runs(e1.dt, e1.n, e1.starts, values)
+
+
+def steady_pair(seed):
+    """A generated trace, and a second one that never jumps."""
+    e1 = generate_trace(SRC, 2e-3, 1e-7, np.random.default_rng(seed))
+    return e1, constant_trace(0.6 - 0.8j, n=e1.n)
+
+
 def signed_zero_trace(seed, n=64):
     rng = np.random.default_rng(seed)
     # Real and imaginary parts drawn as pairs, so both keep the sign of zero.
@@ -158,7 +171,11 @@ def signed_zero_trace(seed, n=64):
      BenchConfig(phi3=1.3, phi4=0.1, phi_d=0.5)),
     (lambda: (signed_zero_trace(18), signed_zero_trace(22)), BenchConfig(phi3=0.0, phi4=0.0, phi_d=0.0)),
     (lambda: (constant_trace(0.3 - 0.2j, n=1), constant_trace(1j, n=1)), BenchConfig(phi3=0.5, phi4=1.5, phi_d=0.3)),
-], ids=["sources", "sources_unbalanced", "dense_same", "dense", "signed_zeros", "one_sample"])
+    (lambda: shared_jump_pair(8), BenchConfig(phi3=0.2, phi4=1.9, phi_d=0.7, balance=0.6)),
+    (lambda: steady_pair(9), BenchConfig(phi3=0.0, phi4=0.5 * math.pi)),
+    (lambda: steady_pair(10)[::-1], BenchConfig(phi3=1.1, phi4=-0.4, balance=2.0)),
+], ids=["sources", "sources_unbalanced", "dense_same", "dense", "signed_zeros", "one_sample",
+        "same_jumps", "second_never_jumps", "first_never_jumps"])
 def test_propagate_is_bitwise_the_per_sample_bench(pair, cfg):
     e1, e2 = pair()
     out = propagate(e1, e2, cfg)
@@ -294,3 +311,53 @@ def test_detector_traces_validation():
         DetectorTraces(dt=1.0, i3=np.ones(4), i4=np.ones(5))
     with pytest.raises(ValueError):
         DetectorTraces(dt=1.0, i3=-np.ones(4), i4=np.ones(4))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "intensities must be finite"),
+    (math.inf, "intensities must be finite"),
+    (-0.5, "intensities must be nonnegative"),
+], ids=["nan", "inf", "negative"])
+def test_detector_traces_check_run_values(bad, message):
+    good = np.full(6, 0.5)
+    for column in (0, 1):
+        samples = [good, good]
+        samples[column] = np.array([0.5, 0.5, bad, bad, 0.5, 0.5])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectorTraces(1e-7, *samples)
+        pairs = np.full((3, 2), 0.5)
+        pairs[1, column] = bad
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectorTraces.from_runs(1e-7, 6, [0, 2, 4], pairs)
+
+
+@pytest.mark.parametrize("starts, n", [([], 4), ([1, 2], 4), ([0, 2, 2], 4), ([0, 3, 1], 4), ([0, 4], 4), ([0], 0)],
+                         ids=["none", "late_first", "repeated", "decreasing", "past_the_end", "empty"])
+def test_detector_traces_check_run_starts(starts, n):
+    with pytest.raises(ValueError):
+        DetectorTraces.from_runs(1e-7, n, starts, np.full((len(starts), 2), 0.5))
+
+
+@pytest.mark.parametrize("i3, i4", [
+    ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0]),
+    ([0.1, 0.2, 0.2, 0.2, 0.3, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4, 0.5]),
+    ([0.7], [0.0]),
+    (np.random.default_rng(25).random(1000), np.random.default_rng(26).random(1000)),
+], ids=["signed_zeros", "equal_neighbours", "one_sample", "every_sample_differs"])
+def test_detector_traces_from_samples_and_from_runs_agree(i3, i4):
+    i3, i4 = np.array(i3), np.array(i4)
+    traces = DetectorTraces(1e-7, i3, i4)
+    assert traces.i3.tobytes() == i3.tobytes()
+    assert traces.i4.tobytes() == i4.tobytes()
+    # The runs found are maximal: neighbouring runs differ in their bits.
+    bits = traces.values.view(np.int64)
+    assert np.all((bits[1:] != bits[:-1]).any(axis=1))
+    rebuilt = DetectorTraces.from_runs(traces.dt, traces.n, traces.starts, traces.values)
+    assert rebuilt.i3.tobytes() == i3.tobytes()
+    assert rebuilt.i4.tobytes() == i4.tobytes()
+    # Runs split where the values do not change give the same samples.
+    split = np.arange(len(i3))
+    per_sample = DetectorTraces.from_runs(traces.dt, traces.n, split, np.stack((i3, i4), axis=1))
+    assert per_sample.i3.tobytes() == i3.tobytes()
+    assert per_sample.i4.tobytes() == i4.tobytes()
+    assert not traces.i3.flags.writeable and not traces.values.flags.writeable

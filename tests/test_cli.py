@@ -315,6 +315,25 @@ def test_simulate_and_analyze_bytes_are_pinned(tmp_path, lines, simulate_digest,
     assert hashlib.sha256(g2.read_bytes()).hexdigest() == analyze_digest
 
 
+# SHA-256 of `hbt sweep --seed 7` at sim.duration = 2e-3, on the default
+# delay grid and at zero delay with three repeats, as written before traces
+# were stored as runs (numpy 2.4, x86-64).
+GOLDEN_SWEEP_DIGESTS = {
+    "default": ("", "81ebb1654e88c330119ac65e036379fc3bebcef23b6ec2a7da004172cc3f23a6"),
+    "zero_delay": ("sim.repeats = 3\nsweep.tau_max = 0\nsweep.tau_steps = 1\n",
+                   "cdf822811bf9bf7e4412e3ced53aa6d22f29abff844b42ad77d34c9384adcbaf"),
+}
+
+
+@pytest.mark.parametrize("lines, digest", GOLDEN_SWEEP_DIGESTS.values(), ids=GOLDEN_SWEEP_DIGESTS)
+def test_sweep_bytes_are_pinned(tmp_path, lines, digest):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration = 2e-3\n" + lines)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_analyze_constant_file_gives_unity(tmp_path):
     path = tmp_path / "const.csv"
     traces = DetectorTraces(dt=1e-7, i3=np.full(500, 0.2), i4=np.full(500, 0.4))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,23 @@ def test_values_live_in_phase_noise_band(zero_delay_sweep):
         for series in (pt.g2_cross, pt.g2_self3, pt.g2_self4):
             res = series[0]
             assert 0.5 - 5 * res.std_error <= res.value <= 1.5 + 5 * res.std_error
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda tr: g2_cross(tr, 0.0),
+    lambda tr: g2_self(tr, 3, 0.0),
+    lambda tr: g2_self(tr, 4, 0.0),
+], ids=["cross", "self3", "self4"])
+def test_g2_allocates_nothing_of_the_window_size(pipeline_traces, estimate):
+    assert len(pipeline_traces) == 200_000
+    estimate(pipeline_traces)  # builds the series and the work buffers
+    tracemalloc.start()
+    try:
+        estimate(pipeline_traces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(pipeline_traces) // 4  # a quarter of one float64 window
 
 
 def test_std_error_scales_with_batch_count():

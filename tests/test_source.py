@@ -239,3 +239,33 @@ def test_field_trace_validation():
         FieldTrace(dt=1e-7, samples=np.array([], dtype=complex))
     with pytest.raises(ValueError):
         FieldTrace(dt=1e-7, samples=np.array([1.0, math.nan], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)],
+                         ids=["nan", "inf", "negative_inf"])
+def test_field_trace_checks_run_values(bad):
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        FieldTrace(1e-7, np.array([1.0, bad, bad, 1.0]))
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        FieldTrace.from_runs(1e-7, 4, [0, 1, 3], np.array([1.0, bad, 1.0]))
+
+
+@pytest.mark.parametrize("samples", [
+    [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.0), 0.0],
+    [1.0, 1.0, 1.0, 2j, 2j, 1.0],
+    [0.3 - 0.4j],
+    np.random.default_rng(27).normal(size=(1000, 2)).view(complex).ravel(),
+], ids=["signed_zeros", "equal_neighbours", "one_sample", "every_sample_differs"])
+def test_field_trace_from_samples_and_from_runs_agree(samples):
+    samples = np.array(samples, dtype=complex)
+    trace = FieldTrace(1e-7, samples)
+    assert trace.samples.tobytes() == samples.tobytes()
+    # The runs found are maximal: neighbouring runs differ in their bits.
+    bits = trace.values.view(np.int64).reshape(-1, 2)
+    assert np.all((bits[1:] != bits[:-1]).any(axis=1))
+    rebuilt = FieldTrace.from_runs(trace.dt, trace.n, trace.starts, trace.values)
+    assert rebuilt.samples.tobytes() == samples.tobytes()
+    per_sample = FieldTrace.from_runs(trace.dt, trace.n, np.arange(len(samples)), samples)
+    assert per_sample.samples.tobytes() == samples.tobytes()
+    assert len(trace) == len(samples) and trace.duration == len(samples) * 1e-7
+    assert not trace.samples.flags.writeable and not trace.starts.flags.writeable
