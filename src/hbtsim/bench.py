@@ -86,21 +86,35 @@ class DetectorTraces(RunLengthRecord):
         return values
 
     @cached_property
+    def _rows(self) -> np.ndarray:
+        """``i3``, ``i4`` and the two work buffers: the rows of one (4, n)
+        array, built on the first read of any of them."""
+        # Owned by the record, not allocated per estimate, and one
+        # allocation, not four: window-sized arrays sit near glibc's dynamic
+        # mmap and trim thresholds.  A freed mmapped chunk raises the trim
+        # threshold to twice its size, so one freed block stays in the heap
+        # for the next record.  Per-estimate temporaries, or four arrays
+        # freed together, reach the threshold; the heap is then handed back
+        # to the kernel and every record page-faults its arrays afresh
+        # (about 22k minor faults per sweep_zero_delay operation, a count
+        # that varies from one run to the next).
+        rows, counts = np.empty((4, self.n)), self.counts
+        rows[0] = np.repeat(self.values[:, 0], counts)
+        rows[1] = np.repeat(self.values[:, 1], counts)
+        return rows
+
+    @cached_property
     def i3(self) -> np.ndarray:
-        return self._expand(self.values[:, 0])
+        return _read_only(self._rows[0])
 
     @cached_property
     def i4(self) -> np.ndarray:
-        return self._expand(self.values[:, 1])
+        return _read_only(self._rows[1])
 
-    @cached_property
+    @property
     def work_buffers(self) -> tuple[np.ndarray, np.ndarray]:
         """Two float arrays of length ``n`` that estimators overwrite."""
-        # Owned by the record, not allocated per estimate: window-sized
-        # temporaries sit near glibc's dynamic mmap threshold, so per-call
-        # arrays would each be freshly mapped and page-faulted unless some
-        # larger array happened to be freed first and raise the threshold.
-        return np.empty(self.n), np.empty(self.n)
+        return self._rows[2], self._rows[3]
 
     def series(self, which: int) -> np.ndarray:
         """The intensity series of detector ``which`` (3 or 4)."""
@@ -109,6 +123,12 @@ class DetectorTraces(RunLengthRecord):
         if which == 4:
             return self.i4
         raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
+
+
+def _read_only(row: np.ndarray) -> np.ndarray:
+    view = row.view()
+    view.flags.writeable = False
+    return view
 
 
 def propagate(

@@ -127,6 +127,22 @@ def test_g2_allocates_nothing_of_the_window_size(pipeline_traces, estimate):
     assert peak < 8 * len(pipeline_traces) // 4  # a quarter of one float64 window
 
 
+def test_a_record_estimates_from_one_window_sized_allocation(pipeline_traces):
+    # The series and both work buffers share one block, freed as one chunk
+    # when the record goes, so that the allocator keeps it for the next one.
+    tr = pipeline_traces
+    fresh = DetectorTraces.from_runs(tr.dt, tr.n, tr.starts, tr.values)
+    tracemalloc.start()
+    try:
+        g2_cross(fresh, 0.0)
+        g2_self(fresh, 3, 0.0)
+        g2_self(fresh, 4, 0.0)
+        live = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    assert [t.size for t in live if t.size >= 8 * tr.n] == [4 * 8 * tr.n]
+
+
 def test_std_error_scales_with_batch_count():
     # fixed batch size, 4x the batches -> half the standard error
     rng = np.random.default_rng(4)
