@@ -14,8 +14,9 @@ two polarization components.
 
 Detector traces, like source traces, are stored as runs of equal samples:
 ``propagate`` evaluates the bench once per run of the union of both
-sources' runs, the CSV writer and reader work run by run, and the
-per-sample ``i3``/``i4`` are built on first read.
+sources' runs, the CSV writer and reader work run by run, the estimators
+sum per segment of runs, and the per-sample ``i3``/``i4`` are built only
+when they are read.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .csvutil import fmt_float as _fmt
 from .csvutil import parse_dt_header, write_csv
 from .errors import IncompatibleTracesError, TraceFormatError
-from .source import FieldTrace, RunLengthRecord, run_starts
+from .source import FieldTrace, RunLengthRecord, merge_starts, run_starts
 
 EPSILON_3 = 1.0
 EPSILON_4 = -1.0
@@ -59,9 +60,8 @@ class DetectorTraces(RunLengthRecord):
     as runs: ``values[r]`` is the pair (I3, I4) held over run ``r``.
 
     ``DetectorTraces(dt, i3, i4)`` finds the runs of per-sample arrays;
-    ``i3`` and ``i4`` are built from the runs on first read.  Each record
-    owns the work buffers its estimators write into, so one record must not
-    be estimated from two threads at once.
+    ``i3`` and ``i4`` are built from the runs on first read.  The
+    estimators read only the runs and write nothing into the record.
     """
 
     _empty = "i3 and i4 must be nonempty 1-d arrays of equal length"
@@ -86,49 +86,20 @@ class DetectorTraces(RunLengthRecord):
         return values
 
     @cached_property
-    def _rows(self) -> np.ndarray:
-        """``i3``, ``i4`` and the two work buffers: the rows of one (4, n)
-        array, built on the first read of any of them."""
-        # Owned by the record, not allocated per estimate, and one
-        # allocation, not four: window-sized arrays sit near glibc's dynamic
-        # mmap and trim thresholds.  A freed mmapped chunk raises the trim
-        # threshold to twice its size, so one freed block stays in the heap
-        # for the next record.  Per-estimate temporaries, or four arrays
-        # freed together, reach the threshold; the heap is then handed back
-        # to the kernel and every record page-faults its arrays afresh
-        # (about 22k minor faults per sweep_zero_delay operation, a count
-        # that varies from one run to the next).
-        rows, counts = np.empty((4, self.n)), self.counts
-        rows[0] = np.repeat(self.values[:, 0], counts)
-        rows[1] = np.repeat(self.values[:, 1], counts)
-        return rows
-
-    @cached_property
     def i3(self) -> np.ndarray:
-        return _read_only(self._rows[0])
+        return self._expand(self.values[:, 0])
 
     @cached_property
     def i4(self) -> np.ndarray:
-        return _read_only(self._rows[1])
+        return self._expand(self.values[:, 1])
 
-    @property
-    def work_buffers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Two float arrays of length ``n`` that estimators overwrite."""
-        return self._rows[2], self._rows[3]
 
-    def series(self, which: int) -> np.ndarray:
-        """The intensity series of detector ``which`` (3 or 4)."""
-        if which == 3:
-            return self.i3
-        if which == 4:
-            return self.i4
+def detector_column(which: int) -> int:
+    """The column of ``DetectorTraces.values`` that holds detector ``which``
+    (3 or 4)."""
+    if which not in (3, 4):
         raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
-
-
-def _read_only(row: np.ndarray) -> np.ndarray:
-    view = row.view()
-    view.flags.writeable = False
-    return view
+    return which - 3
 
 
 def propagate(
@@ -148,18 +119,9 @@ def propagate(
         raise IncompatibleTracesError(f"dt mismatch: {e1.dt!r} vs {e2.dt!r}")
     if e1.n != e2.n:
         raise IncompatibleTracesError(f"length mismatch: {e1.n} vs {e2.n}")
-    # Merge the two sorted start lists (a stable sort of two sorted runs is
-    # a linear merge).  At the last of each group of equal starts, the
-    # number of each trace's starts so far, less one, is the run it is in.
-    both = np.concatenate((e1.starts, e2.starts))
-    order = np.argsort(both, kind="stable")
-    merged = both[order]
-    last = np.append(merged[1:] != merged[:-1], True)
-    from1 = order < len(e1.starts)
-    starts = merged[last]
-    f1 = e1.values[np.cumsum(from1)[last] - 1]
-    f2 = e2.values[np.cumsum(~from1)[last] - 1]
-    f2 = f2 * (math.sqrt(config.balance) * np.exp(1j * config.phi_d))
+    starts, (run1, run2) = merge_starts(e1.starts, e2.starts)
+    f1 = e1.values[run1]
+    f2 = e2.values[run2] * (math.sqrt(config.balance) * np.exp(1j * config.phi_d))
     values = np.empty((len(starts), 2))
     for col, (phi_i, eps_i) in enumerate(((config.phi3, EPSILON_3), (config.phi4, EPSILON_4))):
         # E_i = (1/sqrt(2)) <phi_i|v> |phi_i> with v = eps*f2|L> + f1|R>;
@@ -170,8 +132,8 @@ def propagate(
 
 
 def mean_intensity(traces: DetectorTraces, which: int) -> float:
-    """Time-averaged intensity at detector 3 or 4."""
-    return float(np.mean(traces.series(which)))
+    """Time-averaged intensity at detector 3 or 4, summed run by run."""
+    return float(np.sum(traces.counts * traces.values[:, detector_column(which)]) / traces.n)
 
 
 # --- CSV export/import: "# dt=<seconds>" header, then "i3,i4" rows ---------

@@ -85,7 +85,9 @@ class RunConfig:
     sim: SimConfig
     sweep: SweepConfig
 
-    def validate(self) -> None:
+    def validate(self, command: str = "simulate") -> None:
+        """Refuse a config that ``hbt <command>`` cannot run, naming the
+        field; ``simulate`` needs the most memory per trace sample."""
         if self.sweep.tau_max > self.sim.duration / 2.0:
             raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
         if self.sweep.tau_steps == 1 and self.sweep.tau_max > 0.0:
@@ -93,7 +95,7 @@ class RunConfig:
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
-        check_fits_in_memory("sim.duration", samples, "samples per trace", 100)
+        check_fits_in_memory("sim.duration", samples, "samples per trace", SAMPLE_BYTES[command])
         rows = self.sweep.phi34_steps * self.sweep.tau_steps
         check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", 1000)
         # Samples and lag as generate_trace and the estimators round them.
@@ -119,13 +121,21 @@ class RunConfig:
             )
 
 
+# Bytes per trace sample that each command with a config needs at least:
+# tracemalloc peaks at the default config, rounded down.  ``simulate``
+# writes one CSV line per sample (88 B); a ``sweep`` point keeps only runs
+# and segments of runs (2.9 B at the default jump rate).
+SAMPLE_BYTES = {"simulate": 80, "sweep": 2}
+
+
 def check_fits_in_memory(field: str, count: float, what: str, item_bytes: int) -> None:
     """Refuse ``count`` items of ``item_bytes`` each that would not fit in
     physical memory, before any array exists.
 
     int/float comparisons are exact, so nothing overflows.  The callers'
-    bytes per item are lower bounds; tracemalloc measures 104 per trace
-    sample (189 in simulate), 2.3 kB per sweep row, 1.26 kB per analyze delay.
+    bytes per item are lower bounds; tracemalloc measures 88 per trace
+    sample in simulate and 2.9 in a sweep point (``SAMPLE_BYTES``), 2.3 kB
+    per sweep row, 1.26 kB per analyze delay.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if count * item_bytes > memory:
@@ -177,8 +187,9 @@ def _config_keys() -> dict[str, Callable[[str], object]]:
 CONFIG_KEYS = _config_keys()
 
 
-def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunConfig:
-    """The config of a file, with ``overrides`` (parsed, by key) winning."""
+def parse_config_file(path, overrides: dict[str, object] | None = None, command: str = "simulate") -> RunConfig:
+    """The config of a file, with ``overrides`` (parsed, by key) winning,
+    validated for ``hbt <command>``."""
     values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -196,11 +207,12 @@ def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunCo
                 values[key] = CONFIG_KEYS[key](text)
             except ValueError:
                 raise ConfigError(key, f"unparseable value {text!r}") from None
-    return build_run_config({**values, **(overrides or {})})
+    return build_run_config({**values, **(overrides or {})}, command)
 
 
-def build_run_config(values: dict[str, object]) -> RunConfig:
-    """The default config with ``values`` (parsed, by ``section.key``) set."""
+def build_run_config(values: dict[str, object], command: str = "simulate") -> RunConfig:
+    """The default config with ``values`` (parsed, by ``section.key``) set,
+    validated for ``hbt <command>``."""
     base = default_run_config()
     sections = {}
     for section in fields(base):
@@ -212,15 +224,15 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(section.name, str(exc)) from None
     cfg = RunConfig(**sections)
-    cfg.validate()
+    cfg.validate(command)
     return cfg
 
 
 def _load_config(args) -> RunConfig:
     overrides = {} if args.seed is None else {"sim.seed": args.seed}
     if args.config:
-        return parse_config_file(args.config, overrides)
-    return build_run_config(overrides)
+        return parse_config_file(args.config, overrides, args.command)
+    return build_run_config(overrides, args.command)
 
 
 # --- sweep --------------------------------------------------------------------

@@ -10,17 +10,20 @@ one rule, ``_delay_index``: delays must sit on the sample grid
 record, and correlation is linear, never circular.
 
 The standard error comes from batch means: the overlap window is split into
-``n_batches`` equal batches (default ``N_BATCHES`` = 20), the estimator is
+``n_batches`` equal batches (default ``N_BATCHES`` = 20; the remainder of
+the division counts towards the window value only), the estimator is
 recomputed per batch, and the spread of batch values / sqrt(n_batches) is
 reported.  With the default geometry each batch spans >= 50 coherence
 times, so serial correlation within a batch does not bias the error estimate
 much.
 
-The g2 estimators allocate nothing of the window's size: they write the
-centred windows into the two ``DetectorTraces.work_buffers`` of the record,
-batches first and then the whole window, so every reduction reads the same
-contiguous operands a fresh temporary would hold and the values keep their
-bits.  One record must therefore not be estimated from two threads at once.
+All estimators sum per segment of runs, never per sample.  At lag k the
+window [0, n) is cut at the record's run starts, at the run starts shifted
+by -k and (for g2) at the batch bounds; over each segment both factors are
+constant, so every mean and centred product is a sum of segment length
+times value.  The cost is O(runs) in time and memory, the values agree
+with per-sample sums to rounding, and nothing is written into the record,
+so one record may be estimated from several threads at once.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bench import DetectorTraces
+from .bench import DetectorTraces, detector_column
 from .errors import InsufficientDataError, OffGridDelayError
-from .source import FieldTrace
+from .source import FieldTrace, merge_starts
 
 SCAN_KINDS = ("cross", "self3", "self4")
 N_BATCHES = 20
@@ -72,51 +75,66 @@ def _delay_index(tau: float, dt: float, n_total: int) -> int:
     return k
 
 
-def _normalized_product_mean(x: np.ndarray, y: np.ndarray, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """<xy>/(<x><y>) along the last axis of nonnegative ``x`` and ``y``;
-    ``dx`` and ``dy`` are work arrays of the same shape, overwritten."""
-    mx = x.mean(axis=-1, keepdims=True)
-    my = y.mean(axis=-1, keepdims=True)
-    if not (mx.min() > 0.0 and my.min() > 0.0):
-        raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
-    # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
-    # and free of the large-term cancellation.
-    np.subtract(x, mx, out=dx)
-    np.subtract(y, my, out=dy)
-    return 1.0 + np.multiply(dx, dy, out=dx).mean(axis=-1) / (mx * my)[..., 0]
+def _segments(starts, x, y, n: int, k: int, bounds) -> tuple[np.ndarray, ...]:
+    """Cut the window [0, n) at the run ``starts``, at the starts shifted by
+    ``-k`` and at ``bounds`` (sorted, from 0, ending at n).  Over each
+    segment x(t) and y(t + k) hold one value of the per-run ``x`` and
+    ``y``.  Returns each segment's length, the two values and the index of
+    the last bound at or before it."""
+    points, (xrun, yrun, bound) = merge_starts(np.minimum(starts, n), np.maximum(starts - k, 0), bounds)
+    return np.diff(points), x[xrun[:-1]], y[yrun[:-1]], bound[:-1]
 
 
-def _g2(traces: DetectorTraces, x: np.ndarray, y: np.ndarray, tau: float, n_batches: int) -> CorrelationResult:
+def _g2(traces: DetectorTraces, a: int, b: int, tau: float, n_batches: int) -> CorrelationResult:
+    """g2 of x = column ``a`` of the runs at t and y = column ``b`` at t + tau."""
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
     dt = traces.dt
-    k = _delay_index(tau, dt, len(x))
-    n = len(x) - k
+    k = _delay_index(tau, dt, traces.n)
+    n = traces.n - k
     if n < n_batches:
         raise InsufficientDataError(
             f"overlap window of {n} samples is shorter than {n_batches} batches"
         )
-    xw = x[:n]
-    yw = y[k : k + n]
     m = n // n_batches
-    dx, dy = traces.work_buffers
-    batched = [a[: m * n_batches].reshape(n_batches, m) for a in (xw, yw, dx, dy)]
-    # Batches first: positive batch means imply a positive window mean.
-    batch_vals = _normalized_product_mean(*batched)
-    value = float(_normalized_product_mean(xw, yw, dx[:n], dy[:n]))
+    # Batch j covers [j m, (j + 1) m); the tail [n_batches m, n) is batch
+    # n_batches, which counts towards the window only.
+    bounds = np.append(np.arange(n_batches + 1) * m, n)
+    length, x, y, batch = _segments(traces.starts, traces.values[:, a], traces.values[:, b], n, k, bounds)
+    sx = np.bincount(batch, length * x, minlength=n_batches + 1)
+    sy = np.bincount(batch, length * y, minlength=n_batches + 1)
+    # Positive batch means imply a positive window mean.
+    if not (sx[:n_batches].min() > 0.0 and sy[:n_batches].min() > 0.0):
+        raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
+    # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
+    # and free of the large-term cancellation.
+    mx, my = sx.sum() / n, sy.sum() / n
+    dx = x - mx
+    dx *= y - my
+    dx *= length
+    value = float(1.0 + np.sum(dx) / n / (mx * my))
+    # The batches centre x and y in place: the segment arrays are the
+    # largest this estimator holds.
+    bx, by = sx / m, sy / m
+    x -= bx[batch]
+    y -= by[batch]
+    x *= y
+    x *= length
+    cov = np.bincount(batch, x, minlength=n_batches + 1)[:n_batches] / m
+    batch_vals = 1.0 + cov / (bx * by)[:n_batches]
     std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
     return CorrelationResult(value=value, tau=k * dt, n_samples=n, std_error=std_error)
 
 
 def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
-    return _g2(traces, traces.i3, traces.i4, tau, n_batches)
+    return _g2(traces, 0, 1, tau, n_batches)
 
 
 def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
-    series = traces.series(which)
-    return _g2(traces, series, series, tau, n_batches)
+    col = detector_column(which)
+    return _g2(traces, col, col, tau, n_batches)
 
 
 def g2_delay_scan(
@@ -141,14 +159,13 @@ def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     Both averages run over the same overlap window; tau = 0 returns exactly 1
     unless the window has zero power.
     """
-    n_total = len(trace)
-    k = _delay_index(tau, trace.dt, n_total)
-    n = n_total - k
-    head = trace.samples[:n]
-    den = np.mean((head.conj() * head).real)
+    k = _delay_index(tau, trace.dt, trace.n)
+    n = trace.n - k
+    length, head, shifted, _ = _segments(trace.starts, trace.values, trace.values, n, k, [n])
+    den = np.sum(length * (head.conj() * head).real) / n
     if not den > 0.0:
         raise InsufficientDataError("zero field power in the overlap window")
     if k == 0:
         return 1.0 + 0.0j  # numerator and denominator coincide identically
-    num = np.mean(head.conj() * trace.samples[k : k + n])
+    num = np.sum(length * (head.conj() * shifted)) / n
     return complex(num / den)

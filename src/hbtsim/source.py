@@ -60,6 +60,28 @@ def run_starts(*columns: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate(([True], changed)))
 
 
+def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted union of sorted sample lists, and for each list the index
+    of its last element at or before each point of the union (-1 if none).
+
+    A list of run starts thus maps each union point to the run it falls in.
+    A stable sort of sorted lists is a linear merge; at the last of each
+    group of equal points, the number of a list's elements so far, less
+    one, is that index.
+    """
+    points = np.concatenate(lists)
+    order = np.argsort(points, kind="stable")
+    points = points[order]
+    last = np.append(points[1:] != points[:-1], True)
+    source = np.repeat(np.arange(len(lists), dtype=np.int8), [len(a) for a in lists])[order]
+    runs = []
+    for i in range(len(lists)):
+        run = np.cumsum(source == i, out=order)[last]  # order's memory, free now
+        run -= 1
+        runs.append(run)
+    return points[last], runs
+
+
 class RunLengthRecord:
     """``n`` samples of period ``dt`` stored as runs: run ``r`` holds
     ``values[r]`` on samples ``starts[r]`` up to the next start (or ``n``).

@@ -116,6 +116,26 @@ def test_oversized_config_rejected_before_allocating(tmp_path, line, field):
     assert field in info.value.field
 
 
+def test_each_command_is_charged_its_own_bytes_per_sample(tmp_path, capsys, monkeypatch):
+    # Parsing only.  With 1 GiB of memory, 2e7 samples at 100 B each (what
+    # every command was charged before) do not fit; a sweep needs far less.
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 18}
+    monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "long.cfg"
+    path.write_text("sim.duration = 2\n")
+    assert 2e7 * 100 > 2 ** 30
+    assert parse_config_file(path, command="sweep").sim.duration == 2.0
+    for refused in (lambda: parse_config_file(path, command="simulate"), lambda: parse_config_file(path)):
+        with pytest.raises(ConfigError, match="physical memory") as info:
+            refused()
+        assert info.value.field == "sim.duration"
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "sim.duration" in capsys.readouterr().err
+    with pytest.raises(pytest.fail.Exception, match="the sweep ran"):
+        main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+
+
 @pytest.mark.parametrize("line, field", [
     ("sweep.phi34_start = nan", "sweep: phi34_start"),
     ("sweep.phi34_end = inf", "sweep: phi34_end"),
@@ -293,14 +313,16 @@ def test_analyze_round_trip_matches_pipeline_bitwise(tmp_path, small_cfg_path):
 
 
 # SHA-256 of `hbt simulate --seed 7` and of `hbt analyze --tau-max 5e-5` on
-# its output at sim.duration = 2e-3, as written before the trace CSV became
-# run-wise (numpy 2.4, x86-64).
+# its output at sim.duration = 2e-3 (numpy 2.4, x86-64).  The simulate bytes
+# are those written before the trace CSV became run-wise; the analyze bytes
+# are those of the estimators summing per segment of runs, which moved
+# cells at rounding level (within 1e-15 relative) from the per-sample sums.
 GOLDEN_DIGESTS = {
     "default": ("", "92fc70970583f3597ebdffec49b4e24a0105b5ca300aaf653de66a439121fbbc",
-                "6f1ae273be478e138261429b108c32455bea56f240ec77bb740349579f04e366"),
+                "abe62d2fd856259df98fe3fcae3632c70acb644541069ba8cdca270ee101f1f3"),
     "unbalanced": ("bench.balance = 0.5\nbench.phi_d = 30 deg\n",
                    "3daf4d19ab83cdc1ca527673532c46219eab2621f648d85f9c91951c23d01d65",
-                   "34d0f8916dc6d738876524c6d6ccd3f1fe5712d104c1b8507566466a9e3aabc4"),
+                   "0f36a3b5199d3459c16c1199004d6cd53307af29d53baf3eb13e283ffa152903"),
 }
 
 
@@ -316,12 +338,12 @@ def test_simulate_and_analyze_bytes_are_pinned(tmp_path, lines, simulate_digest,
 
 
 # SHA-256 of `hbt sweep --seed 7` at sim.duration = 2e-3, on the default
-# delay grid and at zero delay with three repeats, as written before traces
-# were stored as runs (numpy 2.4, x86-64).
+# delay grid and at zero delay with three repeats, as written since the
+# estimators sum per segment of runs (numpy 2.4, x86-64).
 GOLDEN_SWEEP_DIGESTS = {
-    "default": ("", "81ebb1654e88c330119ac65e036379fc3bebcef23b6ec2a7da004172cc3f23a6"),
+    "default": ("", "6b42f159897d3c1538f0f412bb99d16e6d6014752ef579918cf08a7215218311"),
     "zero_delay": ("sim.repeats = 3\nsweep.tau_max = 0\nsweep.tau_steps = 1\n",
-                   "cdf822811bf9bf7e4412e3ced53aa6d22f29abff844b42ad77d34c9384adcbaf"),
+                   "e2a6abd4f4c701bf08833c1eb282f711017793970da2691a065999df9f5b5411"),
 }
 
 

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
-from hbtsim.bench import BenchConfig, DetectorTraces
+from hbtsim.bench import BenchConfig, DetectorTraces, mean_intensity
 from hbtsim.correlate import (
+    N_BATCHES,
     CorrelationResult,
     first_order_coherence,
     g2_cross,
@@ -13,7 +15,7 @@ from hbtsim.correlate import (
     g2_self,
 )
 from hbtsim.errors import InsufficientDataError, OffGridDelayError
-from hbtsim.pipeline import simulate_detectors
+from hbtsim.pipeline import estimate_point, simulate_detectors
 from hbtsim.source import FieldTrace, default_source_config
 
 SRC = default_source_config()
@@ -117,7 +119,7 @@ def test_values_live_in_phase_noise_band(zero_delay_sweep):
 ], ids=["cross", "self3", "self4"])
 def test_g2_allocates_nothing_of_the_window_size(pipeline_traces, estimate):
     assert len(pipeline_traces) == 200_000
-    estimate(pipeline_traces)  # builds the series and the work buffers
+    estimate(pipeline_traces)  # one-time allocations
     tracemalloc.start()
     try:
         estimate(pipeline_traces)
@@ -127,9 +129,8 @@ def test_g2_allocates_nothing_of_the_window_size(pipeline_traces, estimate):
     assert peak < 8 * len(pipeline_traces) // 4  # a quarter of one float64 window
 
 
-def test_a_record_estimates_from_one_window_sized_allocation(pipeline_traces):
-    # The series and both work buffers share one block, freed as one chunk
-    # when the record goes, so that the allocator keeps it for the next one.
+def test_a_record_estimates_without_a_window_sized_allocation(pipeline_traces):
+    # The estimators read only the runs.
     tr = pipeline_traces
     fresh = DetectorTraces.from_runs(tr.dt, tr.n, tr.starts, tr.values)
     tracemalloc.start()
@@ -137,10 +138,128 @@ def test_a_record_estimates_from_one_window_sized_allocation(pipeline_traces):
         g2_cross(fresh, 0.0)
         g2_self(fresh, 3, 0.0)
         g2_self(fresh, 4, 0.0)
+        mean_intensity(fresh, 3)
+        mean_intensity(fresh, 4)
         live = tracemalloc.take_snapshot().traces
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [t.size for t in live if t.size >= 8 * tr.n] == [4 * 8 * tr.n]
+    assert [t.size for t in live if t.size >= 8 * tr.n] == []
+    assert peak < 8 * tr.n
+
+
+def test_estimate_point_peaks_below_ten_bytes_per_sample():
+    n = round(2e-2 / 1e-7)
+    taus = [0.0, 5e-6, 5e-5]
+    estimate = lambda: estimate_point(SRC, CONSTRUCTIVE, 2e-2, 1e-7, seed=3, taus=taus)
+    estimate()  # one-time allocations
+    tracemalloc.start()
+    try:
+        estimate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * n
+
+
+# --- the run form against the per-sample estimators -----------------------------
+
+
+def per_sample_g2(x, y, k, n_batches=N_BATCHES):
+    """(value, std_error) of the per-sample g2 that the run form replaced."""
+    n = len(x) - k
+    xw, yw = x[:n], y[k : k + n]
+    m = n // n_batches
+
+    def normalized_product_mean(x, y):
+        mx = x.mean(axis=-1, keepdims=True)
+        my = y.mean(axis=-1, keepdims=True)
+        return 1.0 + ((x - mx) * (y - my)).mean(axis=-1) / (mx * my)[..., 0]
+
+    batches = [a[: m * n_batches].reshape(n_batches, m) for a in (xw, yw)]
+    batch_vals = normalized_product_mean(*batches)
+    return normalized_product_mean(xw, yw), np.std(batch_vals, ddof=1) / math.sqrt(n_batches)
+
+
+def per_sample_g1(e, k):
+    n = len(e) - k
+    return np.mean(e[:n].conj() * e[k : k + n]) / np.mean((e[:n].conj() * e[:n]).real)
+
+
+def assert_close(got, want):
+    assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+
+def random_runs(n, runs, seed):
+    rng = np.random.default_rng(seed)
+    starts = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), runs - 1, replace=False))))
+    return starts, rng.exponential(1.0, (runs, 2))
+
+
+def run_records():
+    """Random runs over an even and an odd record length, every sample its
+    own run, one run, and runs holding signed zeros."""
+    for n, runs in ((1000, 37), (1013, 120)):
+        starts, values = random_runs(n, runs, seed=n)
+        yield pytest.param(DetectorTraces.from_runs(1.0, n, starts, values), id=f"runs{n}")
+    rng = np.random.default_rng(2)
+    yield pytest.param(DetectorTraces(1.0, rng.exponential(1.0, 997), rng.exponential(1.0, 997)), id="sample_runs")
+    yield pytest.param(DetectorTraces.from_runs(1.0, 1000, [0], [[0.3, 0.8]]), id="one_run")
+    starts, values = random_runs(1000, 200, seed=3)
+    values[::7] = 0.0
+    values[3::7] = -0.0
+    values[4::7] = 0.0  # runs of -0.0 and 0.0 side by side
+    yield pytest.param(DetectorTraces.from_runs(1.0, 1000, starts, values), id="signed_zeros")
+
+
+@pytest.mark.parametrize("traces", run_records())
+def test_run_form_matches_the_per_sample_estimators(traces):
+    n = traces.n
+    counts = traces.counts
+    # 0, 1, half the record (2k == n for an even n) and run lengths.
+    lags = sorted({0, 1, n // 2, *(int(c) for c in counts[:: max(1, len(counts) // 3)] if 2 * c <= n)})
+    i3, i4 = traces.i3, traces.i4
+    assert any((n - k) % N_BATCHES for k in lags)  # a tail in the window, in no batch
+    for k in lags:
+        for got, (x, y) in (
+            (g2_cross(traces, float(k)), (i3, i4)),
+            (g2_self(traces, 3, float(k)), (i3, i3)),
+            (g2_self(traces, 4, float(k)), (i4, i4)),
+        ):
+            value, std_error = per_sample_g2(x, y, k)
+            assert_close(got.value, value)
+            assert_close(got.std_error, std_error)
+            assert got.n_samples == n - k
+    assert_close(mean_intensity(traces, 3), np.mean(i3))
+    assert_close(mean_intensity(traces, 4), np.mean(i4))
+
+
+@pytest.mark.parametrize("runs", [1, 40, 1000])
+def test_g1_on_runs_matches_the_per_sample_estimator(runs):
+    starts, values = random_runs(1000, runs, seed=runs)
+    phases = np.exp(2j * math.pi * values[:, 0]) * values[:, 1]
+    trace = FieldTrace.from_runs(1.0, 1000, starts, phases)
+    assert first_order_coherence(trace, 0.0) == 1.0 + 0.0j
+    for k in (1, 333, 500, *(int(c) for c in trace.counts[:2] if 2 * c <= 1000)):
+        assert_close(first_order_coherence(trace, float(k)), per_sample_g1(trace.samples, k))
+
+
+def test_dark_batch_raises_before_dividing():
+    i3 = np.full(1000, 0.5)
+    i3[100:160] = 0.0  # covers the batch [100, 150) at tau = 0
+    traces = DetectorTraces(1.0, i3, np.full(1000, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for estimate in (lambda: g2_cross(traces, 0.0), lambda: g2_self(traces, 3, 0.0)):
+            with pytest.raises(InsufficientDataError, match="zero mean intensity"):
+                estimate()
+        # At tau = 3 the batches cover [0, 980) and the tail [980, 997),
+        # which counts towards the window only; i3 is dark from 983 on.
+        tail = DetectorTraces(1.0, np.where(np.arange(1000) < 983, 0.5, 0.0), np.full(1000, 0.5))
+        got = g2_cross(tail, 3.0)
+        value, std_error = per_sample_g2(tail.i3, tail.i4, 3)
+        assert_close(got.value, value)
+        assert got.std_error == std_error == 0.0
 
 
 def test_std_error_scales_with_batch_count():
