@@ -24,13 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, islice, repeat
-from operator import ne
+from itertools import groupby, repeat
 
 import numpy as np
 
 from .csvutil import fmt_float as _fmt
-from .csvutil import parse_dt_header, write_csv
+from .csvutil import decode_line, parse_dt_header, write_csv
 from .errors import IncompatibleTracesError, TraceFormatError
 from .source import FieldTrace, RunLengthRecord, merge_starts, run_starts
 
@@ -142,51 +141,41 @@ def mean_intensity(traces: DetectorTraces, which: int) -> float:
 def save_detector_traces(traces: DetectorTraces, path) -> None:
     """Write ``traces`` as a ``# dt=`` header and one ``i3,i4`` row per sample.
 
-    The rows are written from the runs: each run's line is formatted once
-    and repeated over the run, the bytes of formatting every row on its own.
+    The file is streamed run by run: each run's line is formatted once and
+    repeated over the run, the bytes of formatting every row on its own.
     """
     lines = (f"{_fmt(a)},{_fmt(b)}" for a, b in traces.values.tolist())
-    write_csv(path, f"# dt={_fmt(traces.dt)}", chain.from_iterable(map(repeat, lines, traces.counts.tolist())))
+    write_csv(path, f"# dt={_fmt(traces.dt)}", map("\n".join, map(repeat, lines, traces.counts.tolist())))
 
 
 def load_detector_traces(path) -> DetectorTraces:
-    """Read a file written by ``save_detector_traces``.
+    """Read a file written by ``save_detector_traces``, line by line.
 
-    Blank lines and ``#`` lines after the header are skipped.  A data line
-    is parsed only where it differs from the line before it, and a pair
-    equal to the previous data line's is reused, so the work is per run of
-    equal lines, and the runs are the traces' stored form.  A malformed or
-    out-of-range value is reported at the first line where it appears.
+    Each group of equal neighbouring lines (CRLF or LF, the last one with
+    or without) is decoded and parsed once and becomes one run of the
+    traces' stored form.  Blank lines and ``#`` lines after the header are
+    skipped.  A line that is not UTF-8, malformed or out of range is
+    reported at the first line where it appears.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceFormatError(1, "empty file")
-    dt = parse_dt_header(lines[0], 1)
-    # Index of each line that differs from the line before it: lines in
-    # [starts[k], starts[k + 1]) are all equal.
-    starts = [*compress(count(1), map(ne, islice(lines, 1, None), lines)), len(lines)]
-    pairs, row_starts, n = [], [], 0
-    inf = math.inf
-    prev, pair = None, None
-    for i, end in zip(starts, starts[1:]):
-        line = lines[i]
-        if not line or line.startswith("#"):
-            continue
-        if line != prev:
-            cells = line.split(",")
-            if len(cells) != 2:
-                raise TraceFormatError(i + 1, f"expected 'i3,i4', got {line!r}")
-            try:
-                pair = float(cells[0]), float(cells[1])
-            except ValueError:
-                raise TraceFormatError(i + 1, f"unparseable number in {line!r}") from None
-            if not (0.0 <= pair[0] < inf and 0.0 <= pair[1] < inf):
-                raise TraceFormatError(i + 1, f"intensities must be finite and >= 0, got {line!r}")
+    with open(path, "rb") as fh:
+        dt = parse_dt_header(decode_line(fh.readline(), 1), 1)
+        pairs, row_starts, n, lineno, prev = [], [], 0, 2, None
+        for raw, group in groupby(fh):
+            rows = sum(1 for _ in group)
+            line = decode_line(raw, lineno)
+            if line and not line.startswith("#"):
+                if line != prev:
+                    try:
+                        i3, i4 = map(float, line.split(","))
+                    except ValueError:
+                        raise TraceFormatError(lineno, f"expected 'i3,i4' numbers, got {line!r}") from None
+                    if not (0.0 <= i3 < math.inf and 0.0 <= i4 < math.inf):
+                        raise TraceFormatError(lineno, f"intensities must be finite and >= 0, got {line!r}")
+                    pairs.append((i3, i4))
+                    row_starts.append(n)
+                n += rows
             prev = line
-        pairs.append(pair)
-        row_starts.append(n)
-        n += end - i
+            lineno += rows
     if not pairs:
-        raise TraceFormatError(len(lines), "no samples")
+        raise TraceFormatError(lineno - 1, "no samples")
     return DetectorTraces.from_runs(dt, n, row_starts, pairs)

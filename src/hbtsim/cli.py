@@ -85,9 +85,9 @@ class RunConfig:
     sim: SimConfig
     sweep: SweepConfig
 
-    def validate(self, command: str = "simulate") -> None:
-        """Refuse a config that ``hbt <command>`` cannot run, naming the
-        field; ``simulate`` needs the most memory per trace sample."""
+    def validate(self) -> None:
+        """Refuse a config that ``hbt simulate`` or ``hbt sweep`` cannot
+        run, naming the field."""
         if self.sweep.tau_max > self.sim.duration / 2.0:
             raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
         if self.sweep.tau_steps == 1 and self.sweep.tau_max > 0.0:
@@ -95,9 +95,9 @@ class RunConfig:
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
-        check_fits_in_memory("sim.duration", samples, "samples per trace", SAMPLE_BYTES[command])
+        check_fits_in_memory("sim.duration", samples, "samples per trace", BYTES_PER_SAMPLE)
         rows = self.sweep.phi34_steps * self.sweep.tau_steps
-        check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", 1000)
+        check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
         # Samples and lag as generate_trace and the estimators round them.
         lag = round(delay_grid(self.sweep.tau_max, self.sweep.tau_steps, self.sim.dt)[-1] / self.sim.dt)
         window = round(samples) - lag
@@ -121,21 +121,19 @@ class RunConfig:
             )
 
 
-# Bytes per trace sample that each command with a config needs at least:
-# tracemalloc peaks at the default config, rounded down.  ``simulate``
-# writes one CSV line per sample (88 B); a ``sweep`` point keeps only runs
-# and segments of runs (2.9 B at the default jump rate).
-SAMPLE_BYTES = {"simulate": 80, "sweep": 2}
+# Lower bounds on the bytes per trace sample, sweep row and analyze delay:
+# tracemalloc at the default config measures 3.0-3.3 B per sample in every
+# command (runs, streamed CSVs), 1.6 kB per row and 0.69 kB per delay.
+BYTES_PER_SAMPLE = 2
+BYTES_PER_ROW = 1000
+BYTES_PER_DELAY = 500
 
 
 def check_fits_in_memory(field: str, count: float, what: str, item_bytes: int) -> None:
-    """Refuse ``count`` items of ``item_bytes`` each that would not fit in
-    physical memory, before any array exists.
+    """Refuse ``count`` items of at least ``item_bytes`` each that would not
+    fit in physical memory, before any array exists.
 
-    int/float comparisons are exact, so nothing overflows.  The callers'
-    bytes per item are lower bounds; tracemalloc measures 88 per trace
-    sample in simulate and 2.9 in a sweep point (``SAMPLE_BYTES``), 2.3 kB
-    per sweep row, 1.26 kB per analyze delay.
+    int/float comparisons are exact, so nothing overflows.
     """
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if count * item_bytes > memory:
@@ -187,13 +185,16 @@ def _config_keys() -> dict[str, Callable[[str], object]]:
 CONFIG_KEYS = _config_keys()
 
 
-def parse_config_file(path, overrides: dict[str, object] | None = None, command: str = "simulate") -> RunConfig:
+def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunConfig:
     """The config of a file, with ``overrides`` (parsed, by key) winning,
-    validated for ``hbt <command>``."""
+    validated."""
     values: dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError:
+                raise ConfigError(f"{path}:{lineno}", "not UTF-8") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
@@ -207,12 +208,12 @@ def parse_config_file(path, overrides: dict[str, object] | None = None, command:
                 values[key] = CONFIG_KEYS[key](text)
             except ValueError:
                 raise ConfigError(key, f"unparseable value {text!r}") from None
-    return build_run_config({**values, **(overrides or {})}, command)
+    return build_run_config({**values, **(overrides or {})})
 
 
-def build_run_config(values: dict[str, object], command: str = "simulate") -> RunConfig:
+def build_run_config(values: dict[str, object]) -> RunConfig:
     """The default config with ``values`` (parsed, by ``section.key``) set,
-    validated for ``hbt <command>``."""
+    validated."""
     base = default_run_config()
     sections = {}
     for section in fields(base):
@@ -224,15 +225,15 @@ def build_run_config(values: dict[str, object], command: str = "simulate") -> Ru
         except ValueError as exc:
             raise ConfigError(section.name, str(exc)) from None
     cfg = RunConfig(**sections)
-    cfg.validate(command)
+    cfg.validate()
     return cfg
 
 
 def _load_config(args) -> RunConfig:
     overrides = {} if args.seed is None else {"sim.seed": args.seed}
     if args.config:
-        return parse_config_file(args.config, overrides, args.command)
-    return build_run_config(overrides, args.command)
+        return parse_config_file(args.config, overrides)
+    return build_run_config(overrides)
 
 
 # --- sweep --------------------------------------------------------------------
@@ -419,7 +420,7 @@ def _analyze_taus(args, dt: float) -> list[float]:
             raise ConfigError("--tau-steps", "must be >= 1")
         if args.tau_steps == 1 and args.tau_max > 0.0:
             raise ConfigError("--tau-steps", ONE_DELAY_STEP)
-        check_fits_in_memory("--tau-steps", args.tau_steps, "delays", 1000)
+        check_fits_in_memory("--tau-steps", args.tau_steps, "delays", BYTES_PER_DELAY)
         return [float(t) for t in delay_grid(args.tau_max, args.tau_steps, dt)]
     return [0.0]
 

@@ -1,8 +1,8 @@
 """The CSV format of trace and results files.
 
-UTF-8, LF line endings, one ``#`` header line, then one row per line and a
-trailing newline.  Floats are written in shortest round-trip form, so
-rereading a file reproduces the exact binary values.
+Written as UTF-8 with LF line endings: one ``#`` header line, then one row
+per line and a trailing newline.  Floats are written in shortest round-trip
+form, so rereading a file reproduces the exact binary values.
 """
 
 from __future__ import annotations
@@ -19,12 +19,20 @@ def fmt_float(x: float) -> str:
 
 
 def write_csv(path, header: str, rows: Iterable[str]) -> None:
-    """Write the ``header`` line, then each already joined row."""
-    lines = [header]
-    lines.extend(rows)
-    lines.append("")
+    """Write the ``header`` line, then each item of ``rows`` and a newline,
+    as it comes (an item may hold several lines), holding one item at most."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
+
+
+def decode_line(raw: bytes, line_number: int) -> str:
+    """Line ``line_number``, read as bytes, decoded and without its line end."""
+    try:
+        return raw.decode("utf-8").rstrip("\r\n")
+    except UnicodeDecodeError:
+        raise TraceFormatError(line_number, "not UTF-8") from None
 
 
 def parse_dt_header(line: str, line_number: int) -> float:

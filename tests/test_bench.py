@@ -293,6 +293,33 @@ def test_detector_csv_skips_comments_and_blanks_inside_a_run(tmp_path):
     assert back.i4.tolist() == [0.2, 0.2, 0.2, 0.4, 0.4, 0.2]
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace(b"\n", b"\r\n"),
+    lambda text: text[:-1],
+    lambda text: text.replace(b"\n", b"\r\n")[:-2],
+], ids=["crlf", "no_final_newline", "crlf_no_final_newline"])
+def test_detector_csv_line_ends(tmp_path, edit):
+    traces = simulate_detectors(SRC, BenchConfig(0.0, 1.3), 2e-4, 1e-7, seed=6)
+    path = tmp_path / "det.csv"
+    save_detector_traces(traces, path)
+    lf = load_detector_traces(path)
+    path.write_bytes(edit(path.read_bytes()))
+    back = load_detector_traces(path)
+    assert back.dt == traces.dt
+    assert back.i3.tobytes() == traces.i3.tobytes()
+    assert back.i4.tobytes() == traces.i4.tobytes()
+    # the same runs, so the estimates keep their bytes
+    assert back.starts.tolist() == lf.starts.tolist()
+
+
+def test_detector_csv_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    for text, line in ((b"# dt=1e-07\xff\n0.1,0.2\n", 1), (b"# dt=1e-07\n0.1,0.2\n# caf\xe9\n0.1,0.2\n", 3)):
+        path.write_bytes(text)
+        with pytest.raises(TraceFormatError, match=f"^line {line}: not UTF-8$"):
+            load_detector_traces(path)
+
+
 @pytest.mark.parametrize("bad", ["0.1,-0.2", "zap,0.2", "nan,0.2", "0.1,0.2,0.3"])
 def test_detector_csv_error_names_the_first_bad_line(tmp_path, bad):
     path = tmp_path / "bad.csv"

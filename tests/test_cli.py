@@ -1,16 +1,21 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hbtsim.bench import DetectorTraces, save_detector_traces
+from hbtsim.bench import DetectorTraces, load_detector_traces, save_detector_traces
 from hbtsim.cli import (
+    BYTES_PER_DELAY,
+    BYTES_PER_SAMPLE,
     CONFIG_KEYS,
     build_run_config,
+    cmd_analyze,
+    cmd_simulate,
     default_run_config,
     main,
     parse_angle,
@@ -18,7 +23,7 @@ from hbtsim.cli import (
     pool_workers,
     sweep_grids,
 )
-from hbtsim.correlate import g2_cross
+from hbtsim.correlate import SCAN_KINDS, g2_cross
 from hbtsim.errors import ConfigError
 from hbtsim.pipeline import simulate_detectors
 
@@ -107,8 +112,12 @@ def test_config_invariants_name_fields(tmp_path, capsys):
     ("sweep.tau_steps = 1000000000", "sweep.tau_steps"),
     ("sim.duration = 1e3", "sim.duration"),
 ])
-def test_oversized_config_rejected_before_allocating(tmp_path, line, field):
+def test_oversized_config_rejected_before_allocating(tmp_path, monkeypatch, line, field):
     # Parsing only: a regression must fail here, not try to run the config.
+    # 16 GiB of memory, so that 1e10 samples at 2 B each are oversized on
+    # any host.
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 22}
+    monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
     path = tmp_path / "big.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match="physical memory") as info:
@@ -116,24 +125,45 @@ def test_oversized_config_rejected_before_allocating(tmp_path, line, field):
     assert field in info.value.field
 
 
-def test_each_command_is_charged_its_own_bytes_per_sample(tmp_path, capsys, monkeypatch):
-    # Parsing only.  With 1 GiB of memory, 2e7 samples at 100 B each (what
-    # every command was charged before) do not fit; a sweep needs far less.
+def test_every_command_is_charged_one_bound_per_sample(tmp_path, capsys, monkeypatch):
+    # Parsing only.  With 1 GiB of memory, 2e7 samples fit at 2 B each for
+    # simulate and sweep alike (simulate was charged 80 B before its CSV
+    # writer streamed); 2e10 samples fit for neither.
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 18}
     monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
     monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli.simulate_detectors", lambda *args, **kwargs: pytest.fail("simulate ran"))
     path = tmp_path / "long.cfg"
+    out = str(tmp_path / "o.csv")
     path.write_text("sim.duration = 2\n")
-    assert 2e7 * 100 > 2 ** 30
-    assert parse_config_file(path, command="sweep").sim.duration == 2.0
-    for refused in (lambda: parse_config_file(path, command="simulate"), lambda: parse_config_file(path)):
-        with pytest.raises(ConfigError, match="physical memory") as info:
-            refused()
-        assert info.value.field == "sim.duration"
+    assert 2e7 * 80 > 2 ** 30 > 2e7 * BYTES_PER_SAMPLE
+    assert parse_config_file(path).sim.duration == 2.0
+    for command, ran in (("simulate", "simulate ran"), ("sweep", "the sweep ran")):
+        with pytest.raises(pytest.fail.Exception, match=ran):
+            main([command, "--config", str(path), "--out", out])
+    path.write_text("sim.duration = 2e3\n")
+    for command in ("simulate", "sweep"):
+        assert main([command, "--config", str(path), "--out", out]) == 2
+        assert "sim.duration: 2e+10 samples per trace need more" in capsys.readouterr().err
+
+
+def test_config_line_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"sim.duration = 2e-3\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match="not UTF-8") as info:
+        parse_config_file(path)
+    assert info.value.field == f"{path}:2"
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "sim.duration" in capsys.readouterr().err
-    with pytest.raises(pytest.fail.Exception, match="the sweep ran"):
-        main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")])
+    assert f"{path}:2: not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b"sim.duration = 2e-3\r\nsim.seed = 42\r\n", b"sim.duration = 2e-3\nsim.seed = 42"],
+                         ids=["crlf", "no_final_newline"])
+def test_config_line_ends(tmp_path, text):
+    path = tmp_path / "a.cfg"
+    path.write_bytes(text)
+    cfg = parse_config_file(path)
+    assert (cfg.sim.duration, cfg.sim.seed) == (2e-3, 42)
 
 
 @pytest.mark.parametrize("line, field", [
@@ -383,6 +413,13 @@ def test_analyze_malformed_csv_reports_line(tmp_path, capsys):
     assert "line 4" in capsys.readouterr().err
 
 
+def test_analyze_line_that_is_not_utf8_is_named(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"# dt=1e-07\n0.1,0.2\n0.1,0.2\n0.1,0.2\xff\n0.1,0.2\n")
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "line 4: not UTF-8" in capsys.readouterr().err
+
+
 def test_analyze_missing_dt_header_is_exit_2(tmp_path, capsys):
     path = tmp_path / "nodt.csv"
     path.write_text("0.1,0.2\n0.1,0.2\n")
@@ -474,6 +511,55 @@ def test_analyze_kind_flags(tmp_path):
     assert main(["analyze", str(path), "--cross", "--out", str(out)]) == 0
     columns, _ = read_rows(out)
     assert columns == ["tau_s", "g2_cross", "g2_cross_err", "i3_mean", "i4_mean"]
+
+
+# --- memory --------------------------------------------------------------------
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of ``run()``, after an untraced call has made
+    the one-time allocations."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_peaks_below_ten_bytes_per_sample(tmp_path):
+    cfg = default_run_config()
+    n = round(cfg.sim.duration / cfg.sim.dt)
+    assert traced_peak(lambda: cmd_simulate(cfg, tmp_path / "tr.csv")) < 10 * n
+
+
+def test_load_and_analyze_peak_below_ten_bytes_per_sample(tmp_path):
+    cfg = default_run_config()
+    n = round(cfg.sim.duration / cfg.sim.dt)
+    path = tmp_path / "tr.csv"
+    cmd_simulate(cfg, path)
+    _, taus = sweep_grids(cfg)
+    analyze = lambda: cmd_analyze(load_detector_traces(path), list(taus), list(SCAN_KINDS), tmp_path / "g2.csv")
+    assert traced_peak(lambda: load_detector_traces(path)) < 10 * n
+    assert traced_peak(analyze) < 10 * n
+
+
+def test_analyze_delays_cost_at_least_their_bound(tmp_path):
+    path = tmp_path / "tr.csv"
+    cmd_simulate(build_run_config({"sim.duration": 2e-4}), path)
+    out = str(tmp_path / "g2.csv")
+
+    def peak(delays):
+        argv = ["analyze", str(path), "--tau-max", f"{(delays - 1) * 1e-7!r}", "--tau-steps", str(delays)]
+
+        def analyze():
+            assert main([*argv, "--out", out]) == 0
+
+        return traced_peak(analyze)
+
+    # The bound that --tau-steps is checked against is a lower bound.
+    assert (peak(220) - peak(20)) / 200 >= BYTES_PER_DELAY
 
 
 # --- predict / usage ---------------------------------------------------------------
