@@ -12,7 +12,8 @@ with u_i1 = 1 and u_i2 = e^{i phi_d} (the arm-2 propagation factor carries
 the dynamical phase), and the recorded intensity is |E_i|^2 summed over the
 two polarization components.
 
-Detector traces, like source traces, are stored as runs of equal samples:
+Detector traces, like source traces, are stored as runs of equal samples
+and built only from them, as ``DetectorTraces(dt, n, starts, values)``:
 ``propagate`` evaluates the bench once per run of the union of both
 sources' runs, the CSV writer and reader work run by run, the estimators
 sum per segment of runs, and the per-sample ``i3``/``i4`` are built only
@@ -31,7 +32,7 @@ import numpy as np
 from .csvutil import fmt_float as _fmt
 from .csvutil import decode_line, parse_dt_header, write_csv
 from .errors import IncompatibleTracesError, TraceFormatError
-from .source import FieldTrace, RunLengthRecord, merge_starts, run_starts
+from .source import FieldTrace, RunLengthRecord, merge_starts
 
 EPSILON_3 = 1.0
 EPSILON_4 = -1.0
@@ -58,20 +59,9 @@ class DetectorTraces(RunLengthRecord):
     """Paired nonnegative intensity time series at detectors 3 and 4, stored
     as runs: ``values[r]`` is the pair (I3, I4) held over run ``r``.
 
-    ``DetectorTraces(dt, i3, i4)`` finds the runs of per-sample arrays;
     ``i3`` and ``i4`` are built from the runs on first read.  The
     estimators read only the runs and write nothing into the record.
     """
-
-    _empty = "i3 and i4 must be nonempty 1-d arrays of equal length"
-
-    def __init__(self, dt: float, i3, i4):
-        i3 = np.asarray(i3, dtype=float)
-        i4 = np.asarray(i4, dtype=float)
-        if i3.ndim != 1 or i4.ndim != 1 or len(i3) != len(i4) or len(i3) == 0:
-            raise ValueError(self._empty)
-        starts = run_starts(i3, i4)
-        self._set_runs(dt, len(i3), starts, np.stack((i3[starts], i4[starts]), axis=1))
 
     @staticmethod
     def _checked_values(values, runs: int) -> np.ndarray:
@@ -127,7 +117,7 @@ def propagate(
         # the R/L components of |phi_i> are e^{-+i phi_i}/sqrt(2).
         amp = 0.5 * (eps_i * f2 * np.exp(-1j * phi_i) + f1 * np.exp(1j * phi_i))
         values[:, col] = amp.real ** 2 + amp.imag ** 2
-    return DetectorTraces.from_runs(e1.dt, e1.n, starts, values)
+    return DetectorTraces(e1.dt, e1.n, starts, values)
 
 
 def mean_intensity(traces: DetectorTraces, which: int) -> float:
@@ -178,4 +168,4 @@ def load_detector_traces(path) -> DetectorTraces:
             lineno += rows
     if not pairs:
         raise TraceFormatError(lineno - 1, "no samples")
-    return DetectorTraces.from_runs(dt, n, row_starts, pairs)
+    return DetectorTraces(dt, n, row_starts, pairs)

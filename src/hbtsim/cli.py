@@ -92,6 +92,13 @@ class RunConfig:
             raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
         if self.sweep.tau_steps == 1 and self.sweep.tau_max > 0.0:
             raise ConfigError("sweep.tau_steps", ONE_DELAY_STEP)
+        start, end = self.sweep.phi34_start, self.sweep.phi34_end
+        if not math.isfinite(end - start):
+            raise ConfigError("sweep.phi34_start, sweep.phi34_end", "phi34_end - phi34_start must be finite")
+        for key, phi34 in (("sweep.phi34_start", start), ("sweep.phi34_end", end)):
+            # phi4 and the oracle's 4*(phi4 - phi3) at either end of the grid
+            if not math.isfinite(4.0 * ((self.bench.phi3 + phi34) - self.bench.phi3)):
+                raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
@@ -410,9 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _analyze_taus(args, dt: float) -> list[float]:
     if args.taus is not None:
         try:
-            return [float(x) for x in args.taus.split(",") if x.strip()]
+            taus = [float(x) for x in args.taus.split(",") if x.strip()]
         except ValueError:
             raise ConfigError("--taus", f"unparseable delay list {args.taus!r}") from None
+        if not taus:
+            raise ConfigError("--taus", "no delays given")
+        return taus
     if args.tau_max is not None:
         if not (math.isfinite(args.tau_max) and args.tau_max >= 0.0):
             raise ConfigError("--tau-max", "must be finite and >= 0")

@@ -33,9 +33,10 @@ def solid_angle_of_setup(phi3: float, phi4: float) -> float:
     Matches ``poincare.polygon_solid_angle`` of the R-4-L-3 loop exactly
     (both are reduced mod 4*pi to the same interval).
     """
-    if not (math.isfinite(phi3) and math.isfinite(phi4)):
-        raise ValueError("angles must be finite")
-    return _wrap_pm_two_pi(4.0 * (phi4 - phi3))
+    lune = 4.0 * (phi4 - phi3)
+    if not math.isfinite(lune):
+        raise ValueError("4*(phi4 - phi3) must be finite for phi3, phi4")
+    return _wrap_pm_two_pi(lune)
 
 
 def visibility(balance: float) -> float:

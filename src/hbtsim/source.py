@@ -6,11 +6,11 @@ uniformly on the circle.  Dwell times follow an exponential of scale ``t_c``
 truncated to [t_min, t_max] and renormalized there, so the coherence of the
 field is lost on the scale t_c while every dwell resolves the sample grid.
 The instantaneous intensity |E|^2 never fluctuates: all the noise is in the
-phase.  Because the field is constant between jumps, runs of equal samples
-are the stored form of a trace: ``generate_trace`` evaluates the field once
-per phase level it keeps, and the per-sample array is built only when
-``FieldTrace.samples`` is first read, bitwise equal to evaluating the field
-at every sample.
+phase.  Because the field is constant between jumps, a trace is stored and
+built as its runs of equal samples, ``FieldTrace(dt, n, starts, values)``:
+``generate_trace`` evaluates the field once per phase level it keeps, and
+the per-sample array is built only when ``FieldTrace.samples`` is first
+read, bitwise equal to evaluating the field at every sample.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ class PhaseNoiseConfig:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        for name in ("t_min", "t_c", "t_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.t_min < self.t_c < self.t_max):
             raise ValueError("require 0 < t_min < t_c < t_max")
         if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
@@ -45,19 +48,6 @@ class PhaseNoiseConfig:
 def default_source_config() -> PhaseNoiseConfig:
     """The bench-scale defaults: t_c = 10 us, dwells in [1 us, 100 us]."""
     return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0)
-
-
-def run_starts(*columns: np.ndarray) -> np.ndarray:
-    """The first sample of each run over which no column changes its bit
-    pattern.  Bits, not values: ``-0.0 == 0.0`` but the two differ in the
-    sign of what is computed from them and in their reprs, so repeating
-    each run's first sample gives back the columns byte for byte."""
-    n = len(columns[0])
-    changed = np.zeros(n - 1, dtype=bool)
-    for column in columns:
-        bits = np.ascontiguousarray(column).view(np.int64).reshape(n, -1)
-        changed |= (bits[1:] != bits[:-1]).any(axis=1)
-    return np.flatnonzero(np.concatenate(([True], changed)))
 
 
 def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -86,26 +76,16 @@ class RunLengthRecord:
     """``n`` samples of period ``dt`` stored as runs: run ``r`` holds
     ``values[r]`` on samples ``starts[r]`` up to the next start (or ``n``).
 
-    ``from_runs`` takes the runs as they are; a subclass's per-sample
-    constructor finds them with ``run_starts``.  ``starts`` and ``values``
-    are read-only; adjacent runs may hold equal values.
+    The runs are checked and copied; ``starts`` and ``values`` are
+    read-only, and adjacent runs may hold equal values.  Per-sample data is
+    one run per sample (``starts = np.arange(n)``).
     """
 
-    _empty = "a record needs at least one sample"
-
-    @classmethod
-    def from_runs(cls, dt: float, n: int, starts, values):
-        """The record of ``n`` samples whose runs start at ``starts`` and
-        hold ``values``, checked and copied."""
-        record = cls.__new__(cls)
-        record._set_runs(dt, n, starts, values)
-        return record
-
-    def _set_runs(self, dt: float, n: int, starts, values) -> None:
+    def __init__(self, dt: float, n: int, starts, values):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("dt must be positive and finite")
         if n < 1:
-            raise ValueError(self._empty)
+            raise ValueError("a record needs at least one sample")
         starts = np.array(starts, dtype=np.intp)
         if not (starts.ndim == 1 and starts.size and starts[0] == 0 and starts[-1] < n
                 and np.all(starts[1:] > starts[:-1])):
@@ -137,17 +117,7 @@ class RunLengthRecord:
 
 class FieldTrace(RunLengthRecord):
     """Uniformly sampled complex field of period ``dt``, stored as runs of
-    equal samples.  ``FieldTrace(dt, samples)`` finds the runs of a
-    per-sample array; ``samples`` is built from the runs on first read."""
-
-    _empty = "samples must be a nonempty 1-d array"
-
-    def __init__(self, dt: float, samples):
-        samples = np.asarray(samples, dtype=complex)
-        if samples.ndim != 1 or samples.size == 0:
-            raise ValueError(self._empty)
-        starts = run_starts(samples)
-        self._set_runs(dt, len(samples), starts, samples[starts])
+    equal samples; ``samples`` is built from the runs on first read."""
 
     @staticmethod
     def _checked_values(values, runs: int) -> np.ndarray:
@@ -161,10 +131,6 @@ class FieldTrace(RunLengthRecord):
     @cached_property
     def samples(self) -> np.ndarray:
         return self._expand(self.values)
-
-    @property
-    def duration(self) -> float:
-        return self.n * self.dt
 
 
 def sample_dwell(config: PhaseNoiseConfig, u):
@@ -189,7 +155,9 @@ def truncated_dwell_mean(config: PhaseNoiseConfig) -> float:
     """Mean dwell time of the renormalized truncated-exponential density."""
     tc = config.t_c
     a, b = config.t_min / tc, config.t_max / tc
-    num = tc * ((1.0 + a) * math.exp(-a) - (1.0 + b) * math.exp(-b))
+    # (1 + b) e^-b is 0.0 in floats long before t_max / t_c overflows to inf.
+    tail = (1.0 + b) * math.exp(-b) if b < math.inf else 0.0
+    num = tc * ((1.0 + a) * math.exp(-a) - tail)
     den = math.exp(-a) - math.exp(-b)
     return num / den
 
@@ -261,4 +229,4 @@ def generate_trace(
     starts = np.concatenate(([0], np.minimum(k, n).astype(np.intp)))
     # A level whose next jump comes before its first sample holds none.
     kept = np.diff(starts, append=n) > 0
-    return FieldTrace.from_runs(dt, n, starts[kept], config.amplitude * np.exp(1j * levels[kept]))
+    return FieldTrace(dt, n, starts[kept], config.amplitude * np.exp(1j * levels[kept]))

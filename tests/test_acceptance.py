@@ -187,13 +187,13 @@ def test_criterion_8_source_statistics():
 
 
 def test_criterion_9_estimator_identities(tmp_path):
-    const = DetectorTraces(dt=1e-7, i3=np.full(1000, 0.3), i4=np.full(1000, 0.9))
+    const = DetectorTraces(1e-7, 1000, [0], [[0.3, 0.9]])
     exact = g2_cross(const, 0.0).value == 1.0 and g2_self(const, 3, 0.0).value == 1.0
 
     bench = BenchConfig(phi3=0.0, phi4=math.pi / 2)
     traces = simulate_detectors(SRC, bench, 2e-3, 1e-7, seed=77)
     base = g2_cross(traces, 0.0).value
-    scaled = DetectorTraces(dt=traces.dt, i3=traces.i3 * 1e5, i4=traces.i4 * 3.0)
+    scaled = DetectorTraces(traces.dt, traces.n, traces.starts, traces.values * [1e5, 3.0])
     scale_ok = abs(g2_cross(scaled, 0.0).value - base) < 1e-12
 
     trace_path = tmp_path / "sim.csv"

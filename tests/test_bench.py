@@ -46,11 +46,12 @@ def dense_matrix_oracle(e1: FieldTrace, e2: FieldTrace, cfg: BenchConfig):
 
 
 def random_trace(rng, n=64, dt=1e-7) -> FieldTrace:
-    return FieldTrace(dt=dt, samples=rng.normal(size=n) + 1j * rng.normal(size=n))
+    """One run per sample, each a random field value."""
+    return FieldTrace(dt, n, np.arange(n), rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
 def constant_trace(value, n=64, dt=1e-7) -> FieldTrace:
-    return FieldTrace(dt=dt, samples=np.full(n, value, dtype=complex))
+    return FieldTrace(dt, n, [0], [value])
 
 
 def test_single_source_gives_quarter_intensity():
@@ -111,8 +112,8 @@ def test_common_global_phase_leaves_intensities():
     base = propagate(e1, e2, cfg)
     rot = np.exp(0.9j)
     shifted = propagate(
-        FieldTrace(dt=e1.dt, samples=e1.samples * rot),
-        FieldTrace(dt=e2.dt, samples=e2.samples * rot),
+        FieldTrace(e1.dt, e1.n, e1.starts, e1.values * rot),
+        FieldTrace(e2.dt, e2.n, e2.starts, e2.values * rot),
         cfg,
     )
     assert np.allclose(shifted.i3, base.i3, atol=1e-12)
@@ -144,7 +145,7 @@ def shared_jump_pair(seed):
     """A generated trace, and a second one that jumps on the same samples."""
     e1 = generate_trace(SRC, 2e-3, 1e-7, np.random.default_rng(seed))
     values = np.exp(2j * math.pi * np.random.default_rng(seed + 1).random(len(e1.starts)))
-    return e1, FieldTrace.from_runs(e1.dt, e1.n, e1.starts, values)
+    return e1, FieldTrace(e1.dt, e1.n, e1.starts, values)
 
 
 def steady_pair(seed):
@@ -157,7 +158,7 @@ def signed_zero_trace(seed, n=64):
     rng = np.random.default_rng(seed)
     # Real and imaginary parts drawn as pairs, so both keep the sign of zero.
     parts = rng.choice(np.array([0.0, -0.0, 1.0, -1.0]), (n, 2))
-    return FieldTrace(dt=1e-7, samples=parts.view(complex).ravel())
+    return FieldTrace(1e-7, n, np.arange(n), parts.view(complex).ravel())
 
 
 @pytest.mark.parametrize("pair, cfg", [
@@ -185,7 +186,7 @@ def test_propagate_is_bitwise_the_per_sample_bench(pair, cfg):
 
 
 def test_mean_intensity_basics():
-    tr = DetectorTraces(dt=1.0, i3=np.full(8, 0.3), i4=np.full(8, 0.9))
+    tr = DetectorTraces(1.0, 8, [0], [[0.3, 0.9]])
     assert mean_intensity(tr, 3) == pytest.approx(0.3, abs=1e-15)
     assert mean_intensity(tr, 4) == pytest.approx(0.9, abs=1e-15)
     with pytest.raises(ValueError):
@@ -267,15 +268,24 @@ def per_row_csv(traces: DetectorTraces) -> str:
     return f"# dt={traces.dt!r}\n" + "".join(rows)
 
 
-@pytest.mark.parametrize("i3, i4", [
-    ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0]),
-    ([0.1, 0.2, 0.2, 0.2, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4]),
-    (np.random.default_rng(23).random(1000), np.random.default_rng(24).random(1000)),
-    (np.full(1000, 0.25), np.full(1000, 1.0 / 3.0)),
-    ([0.7], [0.0]),
+def traces_of_runs(i3, i4, starts, dt=1e-7) -> DetectorTraces:
+    """Per-sample ``i3``, ``i4`` stored as the runs that start at ``starts``,
+    checked to expand back to the same bytes."""
+    i3, i4 = np.array(i3, dtype=float), np.array(i4, dtype=float)
+    traces = DetectorTraces(dt, len(i3), starts, np.stack((i3, i4), axis=1)[starts])
+    assert traces.i3.tobytes() == i3.tobytes() and traces.i4.tobytes() == i4.tobytes()
+    return traces
+
+
+@pytest.mark.parametrize("i3, i4, starts", [
+    ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0], [0, 1, 3, 4, 5]),
+    ([0.1, 0.2, 0.2, 0.2, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4], [0, 1, 4]),
+    (np.random.default_rng(23).random(1000), np.random.default_rng(24).random(1000), np.arange(1000)),
+    (np.full(1000, 0.25), np.full(1000, 1.0 / 3.0), [0]),
+    ([0.7], [0.0], [0]),
 ], ids=["signed_zeros", "runs_of_one_at_both_ends", "every_row_differs", "every_row_same", "one_row"])
-def test_detector_csv_is_the_per_row_bytes(tmp_path, i3, i4):
-    traces = DetectorTraces(dt=1.7e-7, i3=np.array(i3), i4=np.array(i4))
+def test_detector_csv_is_the_per_row_bytes(tmp_path, i3, i4, starts):
+    traces = traces_of_runs(i3, i4, starts, dt=1.7e-7)
     path = tmp_path / "det.csv"
     save_detector_traces(traces, path)
     assert path.read_bytes() == per_row_csv(traces).encode()
@@ -283,6 +293,7 @@ def test_detector_csv_is_the_per_row_bytes(tmp_path, i3, i4):
     assert back.dt == traces.dt
     assert back.i3.tobytes() == traces.i3.tobytes()
     assert back.i4.tobytes() == traces.i4.tobytes()
+    assert back.starts.tolist() == list(starts)
 
 
 def test_detector_csv_skips_comments_and_blanks_inside_a_run(tmp_path):
@@ -334,10 +345,12 @@ def test_detector_csv_error_names_the_first_bad_line(tmp_path, bad):
 
 
 def test_detector_traces_validation():
-    with pytest.raises(ValueError):
-        DetectorTraces(dt=1.0, i3=np.ones(4), i4=np.ones(5))
-    with pytest.raises(ValueError):
-        DetectorTraces(dt=1.0, i3=-np.ones(4), i4=np.ones(4))
+    with pytest.raises(ValueError, match=r"^expected one \(i3, i4\) pair per run$"):
+        DetectorTraces(1.0, 4, [0, 2], [[1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^expected one \(i3, i4\) pair per run$"):
+        DetectorTraces(1.0, 4, [0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="^intensities must be nonnegative$"):
+        DetectorTraces(1.0, 4, [0], [[-1.0, 1.0]])
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -351,40 +364,31 @@ def test_detector_traces_check_run_values(bad, message):
         samples = [good, good]
         samples[column] = np.array([0.5, 0.5, bad, bad, 0.5, 0.5])
         with pytest.raises(ValueError, match=f"^{message}$"):
-            DetectorTraces(1e-7, *samples)
+            DetectorTraces(1e-7, 6, np.arange(6), np.stack(samples, axis=1))
         pairs = np.full((3, 2), 0.5)
         pairs[1, column] = bad
         with pytest.raises(ValueError, match=f"^{message}$"):
-            DetectorTraces.from_runs(1e-7, 6, [0, 2, 4], pairs)
+            DetectorTraces(1e-7, 6, [0, 2, 4], pairs)
 
 
 @pytest.mark.parametrize("starts, n", [([], 4), ([1, 2], 4), ([0, 2, 2], 4), ([0, 3, 1], 4), ([0, 4], 4), ([0], 0)],
                          ids=["none", "late_first", "repeated", "decreasing", "past_the_end", "empty"])
 def test_detector_traces_check_run_starts(starts, n):
-    with pytest.raises(ValueError):
-        DetectorTraces.from_runs(1e-7, n, starts, np.full((len(starts), 2), 0.5))
+    message = "^runs must start at sample 0, then at increasing samples below n$" if n else "^a record needs at least one sample$"
+    with pytest.raises(ValueError, match=message):
+        DetectorTraces(1e-7, n, starts, np.full((len(starts), 2), 0.5))
 
 
-@pytest.mark.parametrize("i3, i4", [
-    ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0]),
-    ([0.1, 0.2, 0.2, 0.2, 0.3, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4, 0.5]),
-    ([0.7], [0.0]),
-    (np.random.default_rng(25).random(1000), np.random.default_rng(26).random(1000)),
+@pytest.mark.parametrize("i3, i4, starts", [
+    ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0], [0, 1, 3, 4, 5]),
+    ([0.1, 0.2, 0.2, 0.2, 0.3, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4, 0.5], [0, 1, 4, 5]),
+    ([0.7], [0.0], [0]),
+    (np.random.default_rng(25).random(1000), np.random.default_rng(26).random(1000), np.arange(1000)),
 ], ids=["signed_zeros", "equal_neighbours", "one_sample", "every_sample_differs"])
-def test_detector_traces_from_samples_and_from_runs_agree(i3, i4):
-    i3, i4 = np.array(i3), np.array(i4)
-    traces = DetectorTraces(1e-7, i3, i4)
-    assert traces.i3.tobytes() == i3.tobytes()
-    assert traces.i4.tobytes() == i4.tobytes()
-    # The runs found are maximal: neighbouring runs differ in their bits.
-    bits = traces.values.view(np.int64)
-    assert np.all((bits[1:] != bits[:-1]).any(axis=1))
-    rebuilt = DetectorTraces.from_runs(traces.dt, traces.n, traces.starts, traces.values)
-    assert rebuilt.i3.tobytes() == i3.tobytes()
-    assert rebuilt.i4.tobytes() == i4.tobytes()
-    # Runs split where the values do not change give the same samples.
-    split = np.arange(len(i3))
-    per_sample = DetectorTraces.from_runs(traces.dt, traces.n, split, np.stack((i3, i4), axis=1))
-    assert per_sample.i3.tobytes() == i3.tobytes()
-    assert per_sample.i4.tobytes() == i4.tobytes()
-    assert not traces.i3.flags.writeable and not traces.values.flags.writeable
+def test_detector_traces_from_samples_and_from_runs_agree(i3, i4, starts):
+    # One run per sample and the data's own runs expand to the same bytes.
+    per_sample = traces_of_runs(i3, i4, np.arange(len(i3)))
+    traces = traces_of_runs(i3, i4, starts)
+    assert len(traces) == len(per_sample) == len(i3)
+    assert not traces.i3.flags.writeable and not traces.i4.flags.writeable
+    assert not traces.values.flags.writeable and not traces.starts.flags.writeable

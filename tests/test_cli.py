@@ -207,6 +207,32 @@ def test_one_delay_step_with_positive_tau_max_names_sweep_tau_steps(tmp_path, ca
     assert "sweep.tau_steps:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "1e999"])
+def test_infinite_t_max_is_named(tmp_path, capsys, value):
+    path = tmp_path / "tmax.cfg"
+    path.write_text(f"sim.duration = 2e-3\nsource.t_max = {value}\n")
+    for command in ("simulate", "sweep"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "hbt: error: source: t_max must be finite\n"
+
+
+@pytest.mark.parametrize("lines, field", [
+    ("sweep.phi34_start = -1e308\nsweep.phi34_end = 1e308\n", "sweep.phi34_start, sweep.phi34_end"),
+    ("sweep.phi34_start = 1e308\nsweep.phi34_end = -1e308\n", "sweep.phi34_start, sweep.phi34_end"),
+    ("bench.phi3 = 1e308\nsweep.phi34_end = 1e308\n", "bench.phi3, sweep.phi34_end"),
+    ("bench.phi3 = -1e308\nsweep.phi34_start = -1e308\nsweep.phi34_end = 0\n", "bench.phi3, sweep.phi34_start"),
+    ("sweep.phi34_start = -1e308\nsweep.phi34_end = -1e307\n", "bench.phi3, sweep.phi34_start"),
+], ids=["span", "negative_span", "phi4_at_end", "phi4_at_start", "lune_at_start"])
+def test_sweep_angles_that_overflow_are_named(tmp_path, capsys, monkeypatch, lines, field):
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "angles.cfg"
+    path.write_text("sim.duration = 2e-3\n" + lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"hbt: error: {field}: ")
+
+
 def test_one_delay_step_at_zero_tau_max_is_accepted():
     cfg = build_run_config({"sweep.tau_max": 0.0, "sweep.tau_steps": 1})
     assert list(sweep_grids(cfg)[1]) == [0.0]
@@ -388,7 +414,7 @@ def test_sweep_bytes_are_pinned(tmp_path, lines, digest):
 
 def test_analyze_constant_file_gives_unity(tmp_path):
     path = tmp_path / "const.csv"
-    traces = DetectorTraces(dt=1e-7, i3=np.full(500, 0.2), i4=np.full(500, 0.4))
+    traces = DetectorTraces(1e-7, 500, [0], [[0.2, 0.4]])
     save_detector_traces(traces, path)
     out = tmp_path / "out.csv"
     assert main(["analyze", str(path), "--taus", "0,1e-6", "--out", str(out)]) == 0
@@ -429,9 +455,7 @@ def test_analyze_missing_dt_header_is_exit_2(tmp_path, capsys):
 
 def test_analyze_off_grid_delay_is_exit_2(tmp_path, capsys):
     path = tmp_path / "const.csv"
-    save_detector_traces(
-        DetectorTraces(dt=1e-7, i3=np.full(100, 1.0), i4=np.full(100, 1.0)), path
-    )
+    save_detector_traces(DetectorTraces(1e-7, 100, [0], [[1.0, 1.0]]), path)
     assert main(
         ["analyze", str(path), "--taus", "1.5e-7", "--out", str(tmp_path / "o.csv")]
     ) == 2
@@ -440,9 +464,7 @@ def test_analyze_off_grid_delay_is_exit_2(tmp_path, capsys):
 
 def test_analyze_tau_max_grid_is_the_sweep_grid(tmp_path, capsys):
     path = tmp_path / "const.csv"
-    save_detector_traces(
-        DetectorTraces(dt=1e-7, i3=np.full(200, 1.0), i4=np.full(200, 1.0)), path
-    )
+    save_detector_traces(DetectorTraces(1e-7, 200, [0], [[1.0, 1.0]]), path)
     out = tmp_path / "o.csv"
     argv = ["analyze", str(path), "--tau-max", "3.3e-7", "--tau-steps", "4", "--out", str(out)]
     assert main(argv) == 0
@@ -456,9 +478,7 @@ def test_analyze_tau_max_grid_is_the_sweep_grid(tmp_path, capsys):
 
 def test_analyze_tau_steps_bounded_before_allocating(tmp_path, capsys, monkeypatch):
     path = tmp_path / "const.csv"
-    save_detector_traces(
-        DetectorTraces(dt=1e-7, i3=np.full(200, 1.0), i4=np.full(200, 1.0)), path
-    )
+    save_detector_traces(DetectorTraces(1e-7, 200, [0], [[1.0, 1.0]]), path)
 
     def no_grid(*args):
         raise AssertionError("the delay grid was built before its size was checked")
@@ -472,9 +492,7 @@ def test_analyze_tau_steps_bounded_before_allocating(tmp_path, capsys, monkeypat
 
 def test_analyze_one_delay_step_with_positive_tau_max_is_exit_2(tmp_path, capsys):
     path = tmp_path / "const.csv"
-    save_detector_traces(
-        DetectorTraces(dt=1e-7, i3=np.full(200, 1.0), i4=np.full(200, 1.0)), path
-    )
+    save_detector_traces(DetectorTraces(1e-7, 200, [0], [[1.0, 1.0]]), path)
     out = tmp_path / "o.csv"
     argv = ["analyze", str(path), "--tau-steps", "1", "--out", str(out)]
     assert main([*argv, "--tau-max", "1e-7"]) == 2
@@ -483,17 +501,26 @@ def test_analyze_one_delay_step_with_positive_tau_max_is_exit_2(tmp_path, capsys
     assert [float(r[0]) for r in read_rows(out)[1]] == [0.0]
 
 
-@pytest.mark.parametrize("dark", [slice(None), slice(0, 100)], ids=["column", "one_batch"])
-def test_analyze_dark_detector_is_exit_2(tmp_path, capsys, dark):
-    i3 = np.full(2000, 0.5)
-    i3[dark] = 0.0  # 2000 samples at tau = 0 make 20 batches of 100
+@pytest.mark.parametrize("starts, i3", [([0], [0.0]), ([0, 100], [0.0, 0.5])], ids=["column", "one_batch"])
+def test_analyze_dark_detector_is_exit_2(tmp_path, capsys, starts, i3):
+    # i3 is dark over its first run; 2000 samples at tau = 0 make 20 batches of 100
     path = tmp_path / "dark.csv"
-    save_detector_traces(DetectorTraces(dt=1e-7, i3=i3, i4=np.full(2000, 0.5)), path)
+    save_detector_traces(DetectorTraces(1e-7, 2000, starts, [[a, 0.5] for a in i3]), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code = main(["analyze", str(path), "--out", str(tmp_path / "o.csv")])
     assert code == 2
     assert "zero mean intensity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("taus", ["", ",", " , "])
+def test_analyze_empty_delay_list_is_exit_2(tmp_path, capsys, taus):
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, 100, [0], [[1.0, 1.0]]), path)
+    out = tmp_path / "o.csv"
+    assert main(["analyze", str(path), "--taus", taus, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "hbt: error: --taus: no delays given\n"
+    assert not out.exists()
 
 
 def test_analyze_missing_file_is_exit_3(tmp_path):
@@ -504,9 +531,7 @@ def test_analyze_missing_file_is_exit_3(tmp_path):
 
 def test_analyze_kind_flags(tmp_path):
     path = tmp_path / "const.csv"
-    save_detector_traces(
-        DetectorTraces(dt=1e-7, i3=np.full(100, 1.0), i4=np.full(100, 1.0)), path
-    )
+    save_detector_traces(DetectorTraces(1e-7, 100, [0], [[1.0, 1.0]]), path)
     out = tmp_path / "out.csv"
     assert main(["analyze", str(path), "--cross", "--out", str(out)]) == 0
     columns, _ = read_rows(out)
@@ -580,6 +605,14 @@ def test_predict_degenerate_lune(capsys):
     assert main(["predict", "--phi3", "0.4", "--phi4", "0.4"]) == 0
     out = capsys.readouterr().out
     assert "g2_cross(tau=0) = 0.5" in out
+
+
+def test_predict_angles_that_overflow_are_exit_2(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "--phi3=1e308", "--phi4=-1e308"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hbt: error: ") and "phi3" in err and "phi4" in err
 
 
 def test_usage_errors_are_exit_2(capsys):

@@ -24,7 +24,12 @@ CONSTRUCTIVE = BenchConfig(phi3=0.0, phi4=math.pi / 2)
 
 
 def constant_traces(c3=0.1, c4=0.7, n=2000, dt=1e-7) -> DetectorTraces:
-    return DetectorTraces(dt=dt, i3=np.full(n, c3), i4=np.full(n, c4))
+    return DetectorTraces(dt, n, [0], [[c3, c4]])
+
+
+def sample_traces(i3, i4, dt=1.0) -> DetectorTraces:
+    """Per-sample intensities, one run per sample."""
+    return DetectorTraces(dt, len(i3), np.arange(len(i3)), np.stack((i3, i4), axis=1))
 
 
 @pytest.fixture(scope="module")
@@ -86,9 +91,8 @@ def test_fringe_amplitude_decays_with_delay():
 def test_symmetry_under_role_swap(pipeline_traces):
     tau = 2 * T_C
     a = g2_cross(pipeline_traces, tau)
-    swapped = DetectorTraces(
-        dt=pipeline_traces.dt, i3=pipeline_traces.i4, i4=pipeline_traces.i3
-    )
+    tr = pipeline_traces
+    swapped = DetectorTraces(tr.dt, tr.n, tr.starts, tr.values[:, ::-1])
     b = g2_cross(swapped, tau)
     assert abs(a.value - b.value) <= 2.0 * math.hypot(a.std_error, b.std_error)
 
@@ -96,11 +100,8 @@ def test_symmetry_under_role_swap(pipeline_traces):
 def test_scale_invariance(pipeline_traces):
     base = g2_cross(pipeline_traces, 0.0).value
     for factor in (1e-6, 3.7, 1e6):
-        scaled = DetectorTraces(
-            dt=pipeline_traces.dt,
-            i3=pipeline_traces.i3 * factor,
-            i4=pipeline_traces.i4,
-        )
+        tr = pipeline_traces
+        scaled = DetectorTraces(tr.dt, tr.n, tr.starts, tr.values * [factor, 1.0])
         assert abs(g2_cross(scaled, 0.0).value - base) < 1e-12
 
 
@@ -132,7 +133,7 @@ def test_g2_allocates_nothing_of_the_window_size(pipeline_traces, estimate):
 def test_a_record_estimates_without_a_window_sized_allocation(pipeline_traces):
     # The estimators read only the runs.
     tr = pipeline_traces
-    fresh = DetectorTraces.from_runs(tr.dt, tr.n, tr.starts, tr.values)
+    fresh = DetectorTraces(tr.dt, tr.n, tr.starts, tr.values)
     tracemalloc.start()
     try:
         g2_cross(fresh, 0.0)
@@ -201,15 +202,15 @@ def run_records():
     own run, one run, and runs holding signed zeros."""
     for n, runs in ((1000, 37), (1013, 120)):
         starts, values = random_runs(n, runs, seed=n)
-        yield pytest.param(DetectorTraces.from_runs(1.0, n, starts, values), id=f"runs{n}")
+        yield pytest.param(DetectorTraces(1.0, n, starts, values), id=f"runs{n}")
     rng = np.random.default_rng(2)
-    yield pytest.param(DetectorTraces(1.0, rng.exponential(1.0, 997), rng.exponential(1.0, 997)), id="sample_runs")
-    yield pytest.param(DetectorTraces.from_runs(1.0, 1000, [0], [[0.3, 0.8]]), id="one_run")
+    yield pytest.param(sample_traces(rng.exponential(1.0, 997), rng.exponential(1.0, 997)), id="sample_runs")
+    yield pytest.param(DetectorTraces(1.0, 1000, [0], [[0.3, 0.8]]), id="one_run")
     starts, values = random_runs(1000, 200, seed=3)
     values[::7] = 0.0
     values[3::7] = -0.0
     values[4::7] = 0.0  # runs of -0.0 and 0.0 side by side
-    yield pytest.param(DetectorTraces.from_runs(1.0, 1000, starts, values), id="signed_zeros")
+    yield pytest.param(DetectorTraces(1.0, 1000, starts, values), id="signed_zeros")
 
 
 @pytest.mark.parametrize("traces", run_records())
@@ -238,16 +239,15 @@ def test_run_form_matches_the_per_sample_estimators(traces):
 def test_g1_on_runs_matches_the_per_sample_estimator(runs):
     starts, values = random_runs(1000, runs, seed=runs)
     phases = np.exp(2j * math.pi * values[:, 0]) * values[:, 1]
-    trace = FieldTrace.from_runs(1.0, 1000, starts, phases)
+    trace = FieldTrace(1.0, 1000, starts, phases)
     assert first_order_coherence(trace, 0.0) == 1.0 + 0.0j
     for k in (1, 333, 500, *(int(c) for c in trace.counts[:2] if 2 * c <= 1000)):
         assert_close(first_order_coherence(trace, float(k)), per_sample_g1(trace.samples, k))
 
 
 def test_dark_batch_raises_before_dividing():
-    i3 = np.full(1000, 0.5)
-    i3[100:160] = 0.0  # covers the batch [100, 150) at tau = 0
-    traces = DetectorTraces(1.0, i3, np.full(1000, 0.5))
+    # i3 is dark on [100, 160), which covers the batch [100, 150) at tau = 0
+    traces = DetectorTraces(1.0, 1000, [0, 100, 160], [[0.5, 0.5], [0.0, 0.5], [0.5, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for estimate in (lambda: g2_cross(traces, 0.0), lambda: g2_self(traces, 3, 0.0)):
@@ -255,7 +255,7 @@ def test_dark_batch_raises_before_dividing():
                 estimate()
         # At tau = 3 the batches cover [0, 980) and the tail [980, 997),
         # which counts towards the window only; i3 is dark from 983 on.
-        tail = DetectorTraces(1.0, np.where(np.arange(1000) < 983, 0.5, 0.0), np.full(1000, 0.5))
+        tail = DetectorTraces(1.0, 1000, [0, 983], [[0.5, 0.5], [0.0, 0.5]])
         got = g2_cross(tail, 3.0)
         value, std_error = per_sample_g2(tail.i3, tail.i4, 3)
         assert_close(got.value, value)
@@ -272,8 +272,8 @@ def test_std_error_scales_with_batch_count():
         y20 = rng.exponential(1.0, size=m * 20)
         x80 = rng.exponential(1.0, size=m * 80)
         y80 = rng.exponential(1.0, size=m * 80)
-        e20 = g2_cross(DetectorTraces(dt=1.0, i3=x20, i4=y20), 0.0, n_batches=20).std_error
-        e80 = g2_cross(DetectorTraces(dt=1.0, i3=x80, i4=y80), 0.0, n_batches=80).std_error
+        e20 = g2_cross(sample_traces(x20, y20), 0.0, n_batches=20).std_error
+        e80 = g2_cross(sample_traces(x80, y80), 0.0, n_batches=80).std_error
         ratios.append(e20 / e80)
     assert abs(np.mean(ratios) / 2.0 - 1.0) < 0.2
 
@@ -297,7 +297,7 @@ def test_delay_validation():
     (51e-7, InsufficientDataError),  # beyond half the record
 ], ids=["negative", "nan", "off_grid", "beyond_half"])
 def test_g1_and_g2_share_the_lag_rule(tau, error):
-    field = FieldTrace(dt=1e-7, samples=np.ones(100))
+    field = FieldTrace(1e-7, 100, [0], [1.0])
     for estimate in (
         lambda: first_order_coherence(field, tau),
         lambda: g2_cross(constant_traces(n=100), tau),
@@ -308,7 +308,7 @@ def test_g1_and_g2_share_the_lag_rule(tau, error):
 
 
 def test_g1_and_g2_accept_half_the_record():
-    assert first_order_coherence(FieldTrace(dt=1e-7, samples=np.ones(100)), 50e-7) == 1.0
+    assert first_order_coherence(FieldTrace(1e-7, 100, [0], [1.0]), 50e-7) == 1.0
     assert g2_cross(constant_traces(n=100), 50e-7).value == 1.0
 
 

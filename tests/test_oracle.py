@@ -33,6 +33,12 @@ def test_solid_angle_examples():
         assert -2 * math.pi < solid_angle_of_setup(0.0, np.random.uniform(-9, 9)) <= 2 * math.pi
 
 
+@pytest.mark.parametrize("phi3, phi4", [(1e308, -1e308), (-1e308, 1e308), (0.0, 1e308), (math.inf, 0.0), (0.0, math.nan)])
+def test_solid_angle_refuses_a_lune_that_is_not_finite(phi3, phi4):
+    with pytest.raises(ValueError, match=r"^4\*\(phi4 - phi3\) must be finite for phi3, phi4$"):
+        solid_angle_of_setup(phi3, phi4)
+
+
 def test_solid_angle_matches_polygon_100_pairs():
     rng = np.random.default_rng(9)
     for _ in range(100):

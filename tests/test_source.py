@@ -38,6 +38,20 @@ def test_config_invariants():
         PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=1e-4, amplitude=0.0)
 
 
+@pytest.mark.parametrize("name", ["t_min", "t_c", "t_max"])
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_config_refuses_non_finite_times(name, bad):
+    times = {"t_min": 1e-6, "t_c": 1e-5, "t_max": 1e-4, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        PhaseNoiseConfig(**times)
+
+
+def test_dwell_mean_at_a_huge_t_max():
+    # t_max / t_c overflows to inf; the tail term of the mean is 0, not nan.
+    huge = PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=1e308)
+    assert truncated_dwell_mean(huge) == truncated_dwell_mean(PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=1.0))
+
+
 def test_sample_dwell_endpoints():
     assert sample_dwell(CFG, 0.0) == pytest.approx(CFG.t_min, rel=1e-12)
     near_one = sample_dwell(CFG, 1.0 - 1e-12)
@@ -195,7 +209,7 @@ def test_g1_insufficient_overlap():
 
 
 def test_g1_zero_power_window_raises():
-    trace = FieldTrace(dt=1e-7, samples=np.zeros(10))
+    trace = FieldTrace(1e-7, 10, [0], [0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tau in (0.0, 2e-7):
@@ -233,39 +247,40 @@ def test_independent_seeds_are_incoherent():
 
 
 def test_field_trace_validation():
-    with pytest.raises(ValueError):
-        FieldTrace(dt=0.0, samples=np.ones(4, dtype=complex))
-    with pytest.raises(ValueError):
-        FieldTrace(dt=1e-7, samples=np.array([], dtype=complex))
-    with pytest.raises(ValueError):
-        FieldTrace(dt=1e-7, samples=np.array([1.0, math.nan], dtype=complex))
+    with pytest.raises(ValueError, match="^dt must be positive and finite$"):
+        FieldTrace(0.0, 4, [0], [1.0])
+    with pytest.raises(ValueError, match="^a record needs at least one sample$"):
+        FieldTrace(1e-7, 0, [], [])
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        FieldTrace(1e-7, 2, [0, 1], [1.0, math.nan])
+    with pytest.raises(ValueError, match="^expected one field value per run$"):
+        FieldTrace(1e-7, 4, [0, 2], [1.0])
+    with pytest.raises(ValueError, match="^runs must start at sample 0"):
+        FieldTrace(1e-7, 4, [1, 2], [1.0, 1.0])
 
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)],
                          ids=["nan", "inf", "negative_inf"])
 def test_field_trace_checks_run_values(bad):
     with pytest.raises(ValueError, match="^samples must be finite$"):
-        FieldTrace(1e-7, np.array([1.0, bad, bad, 1.0]))
+        FieldTrace(1e-7, 4, np.arange(4), np.array([1.0, bad, bad, 1.0]))
     with pytest.raises(ValueError, match="^samples must be finite$"):
-        FieldTrace.from_runs(1e-7, 4, [0, 1, 3], np.array([1.0, bad, 1.0]))
+        FieldTrace(1e-7, 4, [0, 1, 3], np.array([1.0, bad, 1.0]))
 
 
-@pytest.mark.parametrize("samples", [
-    [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.0), 0.0],
-    [1.0, 1.0, 1.0, 2j, 2j, 1.0],
-    [0.3 - 0.4j],
-    np.random.default_rng(27).normal(size=(1000, 2)).view(complex).ravel(),
+@pytest.mark.parametrize("samples, starts", [
+    ([0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), complex(-0.0, -0.0), 0.0], [0, 1, 2, 3, 5]),
+    ([1.0, 1.0, 1.0, 2j, 2j, 1.0], [0, 3, 5]),
+    ([0.3 - 0.4j], [0]),
+    (np.random.default_rng(27).normal(size=(1000, 2)).view(complex).ravel(), np.arange(1000)),
 ], ids=["signed_zeros", "equal_neighbours", "one_sample", "every_sample_differs"])
-def test_field_trace_from_samples_and_from_runs_agree(samples):
+def test_field_trace_from_samples_and_from_runs_agree(samples, starts):
+    # One run per sample and the data's own runs expand to the same bytes.
     samples = np.array(samples, dtype=complex)
-    trace = FieldTrace(1e-7, samples)
-    assert trace.samples.tobytes() == samples.tobytes()
-    # The runs found are maximal: neighbouring runs differ in their bits.
-    bits = trace.values.view(np.int64).reshape(-1, 2)
-    assert np.all((bits[1:] != bits[:-1]).any(axis=1))
-    rebuilt = FieldTrace.from_runs(trace.dt, trace.n, trace.starts, trace.values)
-    assert rebuilt.samples.tobytes() == samples.tobytes()
-    per_sample = FieldTrace.from_runs(trace.dt, trace.n, np.arange(len(samples)), samples)
-    assert per_sample.samples.tobytes() == samples.tobytes()
-    assert len(trace) == len(samples) and trace.duration == len(samples) * 1e-7
+    per_sample = FieldTrace(1e-7, len(samples), np.arange(len(samples)), samples)
+    trace = FieldTrace(1e-7, len(samples), starts, samples[starts])
+    for record in (per_sample, trace):
+        assert record.samples.tobytes() == samples.tobytes()
+        assert len(record) == len(samples)
     assert not trace.samples.flags.writeable and not trace.starts.flags.writeable
+    assert not trace.values.flags.writeable
