@@ -25,6 +25,7 @@ from .correlate import (
     g2_cross,
     g2_delay_scan,
     g2_self,
+    scan,
 )
 from .errors import (
     ConfigError,

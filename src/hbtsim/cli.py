@@ -21,7 +21,10 @@ import numpy as np
 
 from .bench import BenchConfig, DetectorTraces, mean_intensity
 from .bench import load_detector_traces, save_detector_traces
-from .correlate import N_BATCHES, SCAN_KINDS, CorrelationResult, g2_delay_scan
+from .correlate import N_BATCHES, SCAN_KINDS, CorrelationResult, scan
+# The benchmark's tracer patches this name (ROADMAP item 4); nothing here
+# calls it.
+from .correlate import g2_delay_scan  # noqa: F401
 from .csvutil import fmt_float as _fmt
 from .csvutil import write_csv
 from .errors import ConfigError
@@ -85,35 +88,15 @@ class RunConfig:
     sim: SimConfig
     sweep: SweepConfig
 
-    def validate(self) -> None:
-        """Refuse a config that ``hbt simulate`` or ``hbt sweep`` cannot
-        run, naming the field."""
-        if self.sweep.tau_max > self.sim.duration / 2.0:
-            raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
-        if self.sweep.tau_steps == 1 and self.sweep.tau_max > 0.0:
-            raise ConfigError("sweep.tau_steps", ONE_DELAY_STEP)
-        start, end = self.sweep.phi34_start, self.sweep.phi34_end
-        if not math.isfinite(end - start):
-            raise ConfigError("sweep.phi34_start, sweep.phi34_end", "phi34_end - phi34_start must be finite")
-        for key, phi34 in (("sweep.phi34_start", start), ("sweep.phi34_end", end)):
-            # phi4 and the oracle's 4*(phi4 - phi3) at either end of the grid
-            if not math.isfinite(4.0 * ((self.bench.phi3 + phi34) - self.bench.phi3)):
-                raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
+    def validate(self, sweep: bool = True) -> None:
+        """Refuse a config whose record ``hbt simulate`` cannot write or,
+        with ``sweep``, whose grid ``hbt sweep`` cannot run, naming the
+        field."""
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
         check_fits_in_memory("sim.duration", samples, "samples per trace", BYTES_PER_SAMPLE)
-        rows = self.sweep.phi34_steps * self.sweep.tau_steps
-        check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
-        # Samples and lag as generate_trace and the estimators round them.
-        lag = round(delay_grid(self.sweep.tau_max, self.sweep.tau_steps, self.sim.dt)[-1] / self.sim.dt)
-        window = round(samples) - lag
-        if window < N_BATCHES:
-            raise ConfigError(
-                "sim.duration",
-                f"overlap window of {window} samples at sweep.tau_max is shorter"
-                f" than the estimators' {N_BATCHES} batches",
-            )
+        self._check_window(0, "zero delay")
         # A detector sample is at most s/2 and a mean intensity is s/4, with
         # s = a^2 (1 + b) (bench.propagate).  The estimators sum n products
         # of samples and divide by products of means; both must stay normal
@@ -125,6 +108,33 @@ class RunConfig:
                 "source.amplitude, bench.balance",
                 f"intensity scale a^2 (1 + b) = 1e{log_s / math.log(10.0):+.0f} puts the"
                 " estimator products outside the normal float range",
+            )
+        if not sweep:
+            return
+        if self.sweep.tau_max > self.sim.duration / 2.0:
+            raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
+        start, end = self.sweep.phi34_start, self.sweep.phi34_end
+        if not math.isfinite(end - start):
+            raise ConfigError("sweep.phi34_start, sweep.phi34_end", "phi34_end - phi34_start must be finite")
+        for key, phi34 in (("sweep.phi34_start", start), ("sweep.phi34_end", end)):
+            # phi4 and the oracle's 4*(phi4 - phi3) at either end of the grid
+            if not math.isfinite(4.0 * ((self.bench.phi3 + phi34) - self.bench.phi3)):
+                raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
+        rows = self.sweep.phi34_steps * self.sweep.tau_steps
+        check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
+        taus = checked_delay_grid("sweep.tau_steps", self.sweep.tau_max, self.sweep.tau_steps, self.sim.dt)
+        self._check_window(round(taus[-1] / self.sim.dt), "sweep.tau_max")
+
+    def _check_window(self, lag: int, where: str) -> None:
+        """Refuse a record whose overlap window at ``lag`` holds fewer
+        samples than the estimators have batches (samples and lag as
+        ``generate_trace`` and the estimators round them)."""
+        window = round(self.sim.duration / self.sim.dt) - lag
+        if window < N_BATCHES:
+            raise ConfigError(
+                "sim.duration",
+                f"overlap window of {window} samples at {where} is shorter"
+                f" than the estimators' {N_BATCHES} batches",
             )
 
 
@@ -192,9 +202,9 @@ def _config_keys() -> dict[str, Callable[[str], object]]:
 CONFIG_KEYS = _config_keys()
 
 
-def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunConfig:
+def parse_config_file(path, overrides: dict[str, object] | None = None, sweep: bool = True) -> RunConfig:
     """The config of a file, with ``overrides`` (parsed, by key) winning,
-    validated."""
+    validated (the sweep grid only with ``sweep``)."""
     values: dict[str, object] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -215,12 +225,12 @@ def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunCo
                 values[key] = CONFIG_KEYS[key](text)
             except ValueError:
                 raise ConfigError(key, f"unparseable value {text!r}") from None
-    return build_run_config({**values, **(overrides or {})})
+    return build_run_config({**values, **(overrides or {})}, sweep)
 
 
-def build_run_config(values: dict[str, object]) -> RunConfig:
+def build_run_config(values: dict[str, object], sweep: bool = True) -> RunConfig:
     """The default config with ``values`` (parsed, by ``section.key``) set,
-    validated."""
+    validated (the sweep grid only with ``sweep``)."""
     base = default_run_config()
     sections = {}
     for section in fields(base):
@@ -232,15 +242,16 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(section.name, str(exc)) from None
     cfg = RunConfig(**sections)
-    cfg.validate()
+    cfg.validate(sweep)
     return cfg
 
 
 def _load_config(args) -> RunConfig:
     overrides = {} if args.seed is None else {"sim.seed": args.seed}
+    sweep = args.command == "sweep"
     if args.config:
-        return parse_config_file(args.config, overrides)
-    return build_run_config(overrides)
+        return parse_config_file(args.config, overrides, sweep)
+    return build_run_config(overrides, sweep)
 
 
 # --- sweep --------------------------------------------------------------------
@@ -268,6 +279,21 @@ def delay_grid(tau_max: float, steps: int, dt: float) -> np.ndarray:
     """``steps`` delays from 0 to ``tau_max``, snapped onto the sample grid
     of period ``dt`` so that the estimators accept them."""
     return np.round(np.linspace(0.0, tau_max, steps) / dt) * dt
+
+
+def checked_delay_grid(field: str, tau_max: float, steps: int, dt: float) -> np.ndarray:
+    """``delay_grid``, refused (naming ``field``) unless it holds ``steps``
+    distinct delays or is the one delay 0."""
+    if steps == 1 and tau_max > 0.0:
+        raise ConfigError(field, ONE_DELAY_STEP)
+    taus = delay_grid(tau_max, steps, dt)
+    if np.any(taus[1:] == taus[:-1]):
+        raise ConfigError(
+            field,
+            f"{steps} steps from 0 to {tau_max!r} s repeat delays on the dt={dt!r} s grid"
+            f" ({len(np.unique(taus))} distinct); use fewer steps or a larger tau_max",
+        )
+    return taus
 
 
 def sweep_grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -336,12 +362,12 @@ def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
 
 def cmd_analyze(traces: DetectorTraces, taus, kinds: list[str], out_path) -> None:
     """Run the correlation estimators offline on recorded traces."""
-    scans = [g2_delay_scan(traces, kind, taus) for kind in kinds]
+    scans = scan(traces, taus, kinds)
     i3_mean, i4_mean = mean_intensity(traces, 3), mean_intensity(traces, 4)
-    rows = [
-        ",".join(_g2_cells(tau, [scan[it] for scan in scans], i3_mean, i4_mean))
+    rows = (
+        ",".join(_g2_cells(tau, [results[it] for results in scans], i3_mean, i4_mean))
         for it, tau in enumerate(taus)
-    ]
+    )
     write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), rows)
 
 
@@ -428,10 +454,8 @@ def _analyze_taus(args, dt: float) -> list[float]:
             raise ConfigError("--tau-max", "must be finite and >= 0")
         if args.tau_steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
-        if args.tau_steps == 1 and args.tau_max > 0.0:
-            raise ConfigError("--tau-steps", ONE_DELAY_STEP)
         check_fits_in_memory("--tau-steps", args.tau_steps, "delays", BYTES_PER_DELAY)
-        return [float(t) for t in delay_grid(args.tau_max, args.tau_steps, dt)]
+        return [float(t) for t in checked_delay_grid("--tau-steps", args.tau_max, args.tau_steps, dt)]
     return [0.0]
 
 

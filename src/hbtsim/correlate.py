@@ -24,6 +24,15 @@ constant, so every mean and centred product is a sum of segment length
 times value.  The cost is O(runs) in time and memory, the values agree
 with per-sample sums to rounding, and nothing is written into the record,
 so one record may be estimated from several threads at once.
+
+``scan`` is the one g2 kernel.  It merges the segments once per lag and
+shares them between the kinds it is asked for; each of the (at most four)
+factor columns, I3 and I4 at t and at t + k, is built once per lag with its
+window mean and batch means, and every kind that reads it reuses it.  Only
+the centred products, their sums and the spread of the batch values are
+per kind.  A kind's results are the same bits whichever kinds share its
+scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are one-kind scans.
+Lags are scanned one at a time, so the temporaries stay those of one lag.
 """
 
 from __future__ import annotations
@@ -38,7 +47,9 @@ from .bench import DetectorTraces, detector_column
 from .errors import InsufficientDataError, OffGridDelayError
 from .source import FieldTrace, merge_starts
 
-SCAN_KINDS = ("cross", "self3", "self4")
+# The (x, y) columns of ``DetectorTraces.values`` that each g2 kind reads.
+_KIND_COLUMNS = {"cross": (0, 1), "self3": (0, 0), "self4": (1, 1)}
+SCAN_KINDS = tuple(_KIND_COLUMNS)
 N_BATCHES = 20
 
 
@@ -75,22 +86,39 @@ def _delay_index(tau: float, dt: float, n_total: int) -> int:
     return k
 
 
-def _segments(starts, x, y, n: int, k: int, bounds) -> tuple[np.ndarray, ...]:
+def _segments(starts, n: int, k: int, bounds) -> tuple:
     """Cut the window [0, n) at the run ``starts``, at the starts shifted by
-    ``-k`` and at ``bounds`` (sorted, from 0, ending at n).  Over each
-    segment x(t) and y(t + k) hold one value of the per-run ``x`` and
-    ``y``.  Returns each segment's length, the two values and the index of
-    the last bound at or before it."""
+    ``-k`` and at ``bounds`` (sorted, from 0, ending at n).  Returns each
+    segment's length, the runs that hold t and t + k over it, and the index
+    of the last bound at or before it."""
     points, (xrun, yrun, bound) = merge_starts(np.minimum(starts, n), np.maximum(starts - k, 0), bounds)
-    return np.diff(points), x[xrun[:-1]], y[yrun[:-1]], bound[:-1]
+    return np.diff(points), (xrun[:-1], yrun[:-1]), bound[:-1]
 
 
-def _g2(traces: DetectorTraces, a: int, b: int, tau: float, n_batches: int) -> CorrelationResult:
-    """g2 of x = column ``a`` of the runs at t and y = column ``b`` at t + tau."""
+def scan(
+    traces: DetectorTraces,
+    taus: Sequence[float],
+    kinds: Sequence[str] = SCAN_KINDS,
+    n_batches: int = N_BATCHES,
+) -> list[list[CorrelationResult]]:
+    """g2 of each of ``kinds`` at each delay of ``taus``: one list per kind,
+    in the order of ``taus``.
+
+    Kind ``cross`` correlates x = I3 at t with y = I4 at t + tau, ``self3``
+    and ``self4`` a detector with itself.
+    """
+    unknown = [kind for kind in kinds if kind not in _KIND_COLUMNS]
+    if unknown:
+        raise ValueError(f"unknown scan kind {unknown[0]!r}; expected one of {SCAN_KINDS}")
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
-    dt = traces.dt
-    k = _delay_index(tau, dt, traces.n)
+    pairs = [_KIND_COLUMNS[kind] for kind in kinds]
+    per_lag = [_scan_lag(traces, _delay_index(tau, traces.dt, traces.n), pairs, n_batches) for tau in taus]
+    return [[results[i] for results in per_lag] for i in range(len(kinds))]
+
+
+def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[CorrelationResult]:
+    """g2 at lag ``k`` of each (x, y) column pair of ``pairs``."""
     n = traces.n - k
     if n < n_batches:
         raise InsufficientDataError(
@@ -100,41 +128,49 @@ def _g2(traces: DetectorTraces, a: int, b: int, tau: float, n_batches: int) -> C
     # Batch j covers [j m, (j + 1) m); the tail [n_batches m, n) is batch
     # n_batches, which counts towards the window only.
     bounds = np.append(np.arange(n_batches + 1) * m, n)
-    length, x, y, batch = _segments(traces.starts, traces.values[:, a], traces.values[:, b], n, k, bounds)
-    sx = np.bincount(batch, length * x, minlength=n_batches + 1)
-    sy = np.bincount(batch, length * y, minlength=n_batches + 1)
-    # Positive batch means imply a positive window mean.
-    if not (sx[:n_batches].min() > 0.0 and sy[:n_batches].min() > 0.0):
-        raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
-    # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
-    # and free of the large-term cancellation.
-    mx, my = sx.sum() / n, sy.sum() / n
-    dx = x - mx
-    dx *= y - my
-    dx *= length
-    value = float(1.0 + np.sum(dx) / n / (mx * my))
-    # The batches centre x and y in place: the segment arrays are the
-    # largest this estimator holds.
-    bx, by = sx / m, sy / m
-    x -= bx[batch]
-    y -= by[batch]
-    x *= y
-    x *= length
-    cov = np.bincount(batch, x, minlength=n_batches + 1)[:n_batches] / m
-    batch_vals = 1.0 + cov / (bx * by)[:n_batches]
-    std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
-    return CorrelationResult(value=value, tau=k * dt, n_samples=n, std_error=std_error)
+    length, runs, batch = _segments(traces.starts, n, k, bounds)
+    # Each factor column, keyed (column, 0 at t or 1 at t + k; t + 0 is t),
+    # centred on the window mean and on its batch means, with the means.
+    shifted = 1 if k else 0
+    factors = {}
+    for a, b in pairs:
+        for key in ((a, 0), (b, shifted)):
+            if key in factors:
+                continue
+            v = traces.values[:, key[0]][runs[key[1]]]
+            s = np.bincount(batch, length * v, minlength=n_batches + 1)
+            # Positive batch means imply a positive window mean.
+            if not s[:n_batches].min() > 0.0:
+                raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
+            mean, batch_means = s.sum() / n, s / m
+            factors[key] = mean, v - mean, batch_means, v - batch_means[batch]
+    results = []
+    for a, b in pairs:
+        mx, dx, bx, cx = factors[a, 0]
+        my, dy, by, cy = factors[b, shifted]
+        # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant
+        # inputs and free of the large-term cancellation.
+        prod = dx * dy
+        prod *= length
+        value = float(1.0 + np.sum(prod) / n / (mx * my))
+        prod = cx * cy
+        prod *= length
+        cov = np.bincount(batch, prod, minlength=n_batches + 1)[:n_batches] / m
+        batch_vals = 1.0 + cov / (bx * by)[:n_batches]
+        std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
+        results.append(CorrelationResult(value=value, tau=k * traces.dt, n_samples=n, std_error=std_error))
+    return results
 
 
 def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
-    return _g2(traces, 0, 1, tau, n_batches)
+    return scan(traces, [tau], ("cross",), n_batches)[0][0]
 
 
 def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
-    col = detector_column(which)
-    return _g2(traces, col, col, tau, n_batches)
+    kind = ("self3", "self4")[detector_column(which)]
+    return scan(traces, [tau], (kind,), n_batches)[0][0]
 
 
 def g2_delay_scan(
@@ -143,14 +179,8 @@ def g2_delay_scan(
     taus: Sequence[float],
     n_batches: int = N_BATCHES,
 ) -> list[CorrelationResult]:
-    """Apply the selected estimator over a delay grid, preserving order."""
-    if kind == "cross":
-        return [g2_cross(traces, tau, n_batches) for tau in taus]
-    if kind == "self3":
-        return [g2_self(traces, 3, tau, n_batches) for tau in taus]
-    if kind == "self4":
-        return [g2_self(traces, 4, tau, n_batches) for tau in taus]
-    raise ValueError(f"unknown scan kind {kind!r}; expected one of {SCAN_KINDS}")
+    """The one-kind ``scan``."""
+    return scan(traces, taus, (kind,), n_batches)[0]
 
 
 def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
@@ -161,7 +191,8 @@ def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     """
     k = _delay_index(tau, trace.dt, trace.n)
     n = trace.n - k
-    length, head, shifted, _ = _segments(trace.starts, trace.values, trace.values, n, k, [n])
+    length, (head, shifted), _ = _segments(trace.starts, n, k, [n])
+    head, shifted = trace.values[head], trace.values[shifted]
     den = np.sum(length * (head.conj() * head).real) / n
     if not den > 0.0:
         raise InsufficientDataError("zero field power in the overlap window")

@@ -193,8 +193,8 @@ def test_record_shorter_than_the_batches_names_sim_duration(tmp_path, capsys, mo
 
 def test_record_of_exactly_the_batches_is_accepted(tmp_path):
     path = tmp_path / "short.cfg"
-    for duration, tau_max in (("2e-6", "0"), ("4e-6", "2e-6")):
-        path.write_text(f"sim.duration = {duration}\nsweep.tau_max = {tau_max}\n")
+    for duration, grid in (("2e-6", "sweep.tau_max = 0\nsweep.tau_steps = 1"), ("4e-6", "sweep.tau_max = 2e-6")):
+        path.write_text(f"sim.duration = {duration}\n{grid}\n")
         parse_config_file(path)
 
 
@@ -205,6 +205,38 @@ def test_one_delay_step_with_positive_tau_max_names_sweep_tau_steps(tmp_path, ca
     path.write_text(f"sim.duration = 2e-3\nsweep.tau_max = {tau_max}\nsweep.tau_steps = 1\n")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     assert "sweep.tau_steps:" in capsys.readouterr().err
+
+
+def test_simulate_is_not_checked_against_the_sweep_grid(tmp_path, capsys):
+    # 500 samples: too short for the default sweep.tau_max, not for a record
+    path = tmp_path / "short.cfg"
+    path.write_text("sim.duration = 5e-5\n")
+    traces = tmp_path / "traces.csv"
+    with pytest.warns(UserWarning, match="duration below"):
+        assert main(["simulate", "--config", str(path), "--seed", "3", "--out", str(traces)]) == 0
+    assert len(load_detector_traces(traces)) == 500
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "sweep.tau_max: must not exceed sim.duration/2" in capsys.readouterr().err
+    for lines in ("sweep.tau_max = 0\n", "sweep.phi34_start = -1e308\nsweep.phi34_end = 1e308\n"):
+        path.write_text("sim.duration = 2e-3\n" + lines)
+        assert parse_config_file(path, sweep=False).sim.duration == 2e-3
+        with pytest.raises(ConfigError, match="sweep"):
+            parse_config_file(path)
+
+
+@pytest.mark.parametrize("lines, lags", [
+    ("sweep.tau_max = 0\n", 1),
+    ("sweep.tau_max = 3e-7\n", 4),
+    ("sweep.tau_max = 1e-6\nsweep.tau_steps = 12\n", 11),
+    ("sweep.tau_max = 4e-8\nsweep.tau_steps = 2\n", 1),  # both round to lag 0
+], ids=["zero_tau_max", "three_lags", "one_step_too_many", "below_half_a_sample"])
+def test_repeated_delays_name_sweep_tau_steps(tmp_path, capsys, monkeypatch, lines, lags):
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "grid.cfg"
+    path.write_text("sim.duration = 2e-3\n" + lines)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("hbt: error: sweep.tau_steps: ") and f"({lags} distinct)" in err
 
 
 @pytest.mark.parametrize("value", ["inf", "1e999"])
@@ -501,6 +533,18 @@ def test_analyze_one_delay_step_with_positive_tau_max_is_exit_2(tmp_path, capsys
     assert [float(r[0]) for r in read_rows(out)[1]] == [0.0]
 
 
+def test_analyze_repeated_delays_are_exit_2(tmp_path, capsys):
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, 200, [0], [[1.0, 1.0]]), path)
+    out = tmp_path / "o.csv"
+    argv = ["analyze", str(path), "--tau-max", "3e-7", "--out", str(out)]
+    assert main([*argv, "--tau-steps", "11"]) == 2
+    assert capsys.readouterr().err.startswith("hbt: error: --tau-steps: 11 steps from 0 to 3e-07 s repeat delays")
+    assert not out.exists()
+    assert main([*argv, "--tau-steps", "4"]) == 0
+    assert [float(r[0]) for r in read_rows(out)[1]] == [0.0, 1e-7, 2e-7, 3e-7]
+
+
 @pytest.mark.parametrize("starts, i3", [([0], [0.0]), ([0, 100], [0.0, 0.5])], ids=["column", "one_batch"])
 def test_analyze_dark_detector_is_exit_2(tmp_path, capsys, starts, i3):
     # i3 is dark over its first run; 2000 samples at tau = 0 make 20 batches of 100
@@ -536,6 +580,21 @@ def test_analyze_kind_flags(tmp_path):
     assert main(["analyze", str(path), "--cross", "--out", str(out)]) == 0
     columns, _ = read_rows(out)
     assert columns == ["tau_s", "g2_cross", "g2_cross_err", "i3_mean", "i4_mean"]
+
+
+def test_analyze_each_kind_alone_is_its_columns_of_all_kinds(tmp_path, small_cfg_path):
+    trace_path = tmp_path / "tr.csv"
+    main(["simulate", "--config", str(small_cfg_path), "--out", str(trace_path)])
+    every = tmp_path / "all.csv"
+    assert main(["analyze", str(trace_path), "--tau-max", "2e-5", "--out", str(every)]) == 0
+    columns, rows = read_rows(every)
+    assert len(rows) == 11
+    for kind in SCAN_KINDS:
+        out = tmp_path / f"{kind}.csv"
+        assert main(["analyze", str(trace_path), "--tau-max", "2e-5", f"--{kind}", "--out", str(out)]) == 0
+        alone_columns, alone_rows = read_rows(out)
+        picks = [columns.index(c) for c in alone_columns]
+        assert alone_rows == [[row[i] for i in picks] for row in rows]  # the same text
 
 
 # --- memory --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -8,11 +9,13 @@ import pytest
 from hbtsim.bench import BenchConfig, DetectorTraces, mean_intensity
 from hbtsim.correlate import (
     N_BATCHES,
+    SCAN_KINDS,
     CorrelationResult,
     first_order_coherence,
     g2_cross,
     g2_delay_scan,
     g2_self,
+    scan,
 )
 from hbtsim.errors import InsufficientDataError, OffGridDelayError
 from hbtsim.pipeline import estimate_point, simulate_detectors
@@ -233,6 +236,79 @@ def test_run_form_matches_the_per_sample_estimators(traces):
             assert got.n_samples == n - k
     assert_close(mean_intensity(traces, 3), np.mean(i3))
     assert_close(mean_intensity(traces, 4), np.mean(i4))
+
+
+@pytest.mark.parametrize("traces", run_records())
+def test_scan_matches_the_per_sample_estimators(traces):
+    n = traces.n
+    lags = [0, 1, n // 4, n // 2]  # n // 2 clips the shifted starts at 0
+    columns = {"cross": (traces.i3, traces.i4), "self3": (traces.i3, traces.i3), "self4": (traces.i4, traces.i4)}
+    scans = scan(traces, [float(k) for k in lags])
+    assert len(scans) == len(SCAN_KINDS)
+    for kind, results in zip(SCAN_KINDS, scans):
+        assert [r.tau for r in results] == lags
+        for k, got in zip(lags, results):
+            value, std_error = per_sample_g2(*columns[kind], k)
+            assert_close(got.value, value)
+            assert_close(got.std_error, std_error)
+            assert got.n_samples == n - k
+
+
+def bits(results):
+    return [(r.value.hex(), r.std_error.hex(), r.tau, r.n_samples) for r in results]
+
+
+@pytest.mark.parametrize("traces", run_records())
+def test_scan_kind_is_the_same_bits_alone_or_shared(traces):
+    taus = [0.0, 1.0, float(traces.n // 3), float(traces.n // 2)]
+    alone = {kind: bits(scan(traces, taus, (kind,))[0]) for kind in SCAN_KINDS}
+    for size in (2, 3):
+        for kinds in itertools.permutations(SCAN_KINDS, size):
+            for kind, results in zip(kinds, scan(traces, taus, kinds)):
+                assert bits(results) == alone[kind], (kinds, kind)
+    assert alone["cross"] == bits(g2_delay_scan(traces, "cross", taus))
+    assert alone["self4"] == bits([g2_self(traces, 4, tau) for tau in taus])
+
+
+def test_scan_of_no_delays_or_no_kinds():
+    tr = constant_traces()
+    assert scan(tr, []) == [[], [], []]
+    assert scan(tr, [0.0, 1e-7], ()) == []
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda tr: scan(tr, [0.0], ("cross", "both")), ValueError,
+     "unknown scan kind 'both'; expected one of ('cross', 'self3', 'self4')"),
+    (lambda tr: scan(tr, [0.0], n_batches=1), ValueError, "n_batches must be >= 2"),
+    (lambda tr: scan(tr, [0.0, 1.5e-7]), OffGridDelayError, "tau=1.5e-07 is not an integer multiple of dt=1e-07"),
+    (lambda tr: scan(tr, [0.0, 60e-7]), InsufficientDataError,
+     "tau=6e-06 exceeds half the record length 9.999999999999999e-06"),
+    (lambda tr: scan(DetectorTraces(1e-7, 1000, [0, 100, 160], [[0.5, 0.5], [0.0, 0.5], [0.5, 0.5]]), [0.0], ("self4", "self3")),
+     InsufficientDataError, "zero mean intensity in a batch of the overlap window"),
+], ids=["unknown_kind", "one_batch", "off_grid", "beyond_half", "dark_batch"])
+def test_scan_refuses_what_the_one_kind_estimators_refuse(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(constant_traces(n=100))
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_scan_temporaries_are_those_of_one_lag(pipeline_traces):
+    # Lags are scanned one at a time: eleven lags peak no higher than the
+    # one with the most segments, up to the results.
+    taus = [float(t) for t in np.arange(11) * 5e-6]
+    peaks = []
+    for grid in ([taus[-1]], taus):
+        scan(pipeline_traces, grid)  # one-time allocations
+        tracemalloc.start()
+        try:
+            scan(pipeline_traces, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize("runs", [1, 40, 1000])
