@@ -21,7 +21,7 @@ import numpy as np
 
 from .bench import BenchConfig, DetectorTraces, mean_intensity
 from .bench import load_detector_traces, save_detector_traces
-from .correlate import N_BATCHES, SCAN_KINDS, CorrelationResult, scan
+from .correlate import N_BATCHES, SCAN_KINDS, CorrelationResult, delay_lag, scan
 # The benchmark's tracer patches this name (ROADMAP item 4); nothing here
 # calls it.
 from .correlate import g2_delay_scan  # noqa: F401
@@ -440,23 +440,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _analyze_taus(args, dt: float) -> list[float]:
+def _analyze_taus(args, traces: DetectorTraces) -> list[float]:
     if args.taus is not None:
+        field = "--taus"
         try:
             taus = [float(x) for x in args.taus.split(",") if x.strip()]
         except ValueError:
-            raise ConfigError("--taus", f"unparseable delay list {args.taus!r}") from None
+            raise ConfigError(field, f"unparseable delay list {args.taus!r}") from None
         if not taus:
-            raise ConfigError("--taus", "no delays given")
-        return taus
-    if args.tau_max is not None:
+            raise ConfigError(field, "no delays given")
+    elif args.tau_max is not None:
+        field = "--tau-max"
         if not (math.isfinite(args.tau_max) and args.tau_max >= 0.0):
-            raise ConfigError("--tau-max", "must be finite and >= 0")
+            raise ConfigError(field, "must be finite and >= 0")
         if args.tau_steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
         check_fits_in_memory("--tau-steps", args.tau_steps, "delays", BYTES_PER_DELAY)
-        return [float(t) for t in checked_delay_grid("--tau-steps", args.tau_max, args.tau_steps, dt)]
-    return [0.0]
+        taus = [float(t) for t in checked_delay_grid("--tau-steps", args.tau_max, args.tau_steps, traces.dt)]
+    else:
+        field, taus = args.trace, [0.0]
+    # Refuse, naming the flag (or the file), any delay that scan would
+    # refuse on this record.
+    for tau in taus:
+        try:
+            delay_lag(traces, tau)
+        except ValueError as exc:
+            raise ConfigError(field, str(exc)) from None
+    return taus
 
 
 def main(argv=None) -> int:
@@ -475,7 +485,7 @@ def main(argv=None) -> int:
         elif args.command == "analyze":
             kinds = [kind for kind in SCAN_KINDS if getattr(args, kind)] or list(SCAN_KINDS)
             traces = load_detector_traces(args.trace)
-            cmd_analyze(traces, _analyze_taus(args, traces.dt), kinds, args.out)
+            cmd_analyze(traces, _analyze_taus(args, traces), kinds, args.out)
         elif args.command == "predict":
             print(predict_report(args.phi3, args.phi4, args.phi_d))
     except ValueError as exc:

@@ -25,14 +25,26 @@ times value.  The cost is O(runs) in time and memory, the values agree
 with per-sample sums to rounding, and nothing is written into the record,
 so one record may be estimated from several threads at once.
 
-``scan`` is the one g2 kernel.  It merges the segments once per lag and
-shares them between the kinds it is asked for; each of the (at most four)
-factor columns, I3 and I4 at t and at t + k, is built once per lag with its
-window mean and batch means, and every kind that reads it reuses it.  Only
-the centred products, their sums and the spread of the batch values are
-per kind.  A kind's results are the same bits whichever kinds share its
-scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are one-kind scans.
-Lags are scanned one at a time, so the temporaries stay those of one lag.
+``scan`` is the one g2 kernel.  It merges the segments once per lag (at lag
+0 the shifted starts are the starts, so they are merged once) and shares
+them between the kinds it is asked for.  Each of the (at most four) factor
+columns, I3 and I4 at t and at t + k, is built once per lag with its window
+mean and batch means, and every kind that reads it reuses it.  Per kind
+there is one centred product, length (x - mx)(y - my); its batch sums, like
+a column's, are one ``np.add.reduceat`` over the time-ordered segments.
+The batch covariances follow from the pairwise-update identity of Chan,
+Golub & LeVeque (1983): over the segments of batch j,
+
+    sum l (x - bx_j)(y - by_j) = sum l (x - mx)(y - my) - m (bx_j - mx)(by_j - my),
+
+so no column is centred on its batch means.  A batch where
+|(bx_j - mx)(by_j - my)| exceeds bx_j by_j (one far dimmer than the window)
+would lose more than an ulp of its value to that subtraction, so it alone
+is summed again about its own means.  A kind's results are the same bits whichever kinds share
+its scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are one-kind
+scans.  Every delay is checked (``delay_lag``) before the first lag is
+scanned, and lags are scanned one at a time, so the temporaries stay those
+of one lag.
 """
 
 from __future__ import annotations
@@ -91,8 +103,23 @@ def _segments(starts, n: int, k: int, bounds) -> tuple:
     ``-k`` and at ``bounds`` (sorted, from 0, ending at n).  Returns each
     segment's length, the runs that hold t and t + k over it, and the index
     of the last bound at or before it."""
+    if k == 0:  # the shifted starts are the starts: merge them once
+        points, (run, bound) = merge_starts(np.minimum(starts, n), bounds)
+        return np.diff(points), (run[:-1],) * 2, bound[:-1]
     points, (xrun, yrun, bound) = merge_starts(np.minimum(starts, n), np.maximum(starts - k, 0), bounds)
     return np.diff(points), (xrun[:-1], yrun[:-1]), bound[:-1]
+
+
+def delay_lag(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> int:
+    """The lag k of ``tau`` into ``traces`` as ``scan`` takes it: the lag
+    rule of ``_delay_index``, and an overlap window of at least
+    ``n_batches`` samples."""
+    k = _delay_index(tau, traces.dt, traces.n)
+    if traces.n - k < n_batches:
+        raise InsufficientDataError(
+            f"overlap window of {traces.n - k} samples is shorter than {n_batches} batches"
+        )
+    return k
 
 
 def scan(
@@ -113,24 +140,25 @@ def scan(
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
     pairs = [_KIND_COLUMNS[kind] for kind in kinds]
-    per_lag = [_scan_lag(traces, _delay_index(tau, traces.dt, traces.n), pairs, n_batches) for tau in taus]
+    lags = [delay_lag(traces, tau, n_batches) for tau in taus]
+    per_lag = [_scan_lag(traces, k, pairs, n_batches) for k in lags]
     return [[results[i] for results in per_lag] for i in range(len(kinds))]
 
 
 def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[CorrelationResult]:
     """g2 at lag ``k`` of each (x, y) column pair of ``pairs``."""
     n = traces.n - k
-    if n < n_batches:
-        raise InsufficientDataError(
-            f"overlap window of {n} samples is shorter than {n_batches} batches"
-        )
     m = n // n_batches
-    # Batch j covers [j m, (j + 1) m); the tail [n_batches m, n) is batch
-    # n_batches, which counts towards the window only.
+    # Batch j covers [j m, (j + 1) m); the tail [n_batches m, n) counts
+    # towards the window only.
     bounds = np.append(np.arange(n_batches + 1) * m, n)
     length, runs, batch = _segments(traces.starts, n, k, bounds)
+    # Batch j is the segments edges[j]:edges[j + 1] (in time order, and every
+    # batch holds m >= 1 samples); the tail is a group only if it holds any.
+    edges = np.searchsorted(batch, np.arange(n_batches + 1))
+    groups = edges if edges[-1] < len(length) else edges[:-1]
     # Each factor column, keyed (column, 0 at t or 1 at t + k; t + 0 is t),
-    # centred on the window mean and on its batch means, with the means.
+    # with its window mean, centred on it, and its batch means.
     shifted = 1 if k else 0
     factors = {}
     for a, b in pairs:
@@ -138,25 +166,34 @@ def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[Cor
             if key in factors:
                 continue
             v = traces.values[:, key[0]][runs[key[1]]]
-            s = np.bincount(batch, length * v, minlength=n_batches + 1)
+            s = np.add.reduceat(length * v, groups)
             # Positive batch means imply a positive window mean.
             if not s[:n_batches].min() > 0.0:
                 raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
-            mean, batch_means = s.sum() / n, s / m
-            factors[key] = mean, v - mean, batch_means, v - batch_means[batch]
+            mean = s.sum() / n
+            factors[key] = mean, v - mean, s[:n_batches] / m
     results = []
     for a, b in pairs:
-        mx, dx, bx, cx = factors[a, 0]
-        my, dy, by, cy = factors[b, shifted]
+        mx, dx, bx = factors[a, 0]
+        my, dy, by = factors[b, shifted]
         # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant
         # inputs and free of the large-term cancellation.
         prod = dx * dy
         prod *= length
-        value = float(1.0 + np.sum(prod) / n / (mx * my))
-        prod = cx * cy
-        prod *= length
-        cov = np.bincount(batch, prod, minlength=n_batches + 1)[:n_batches] / m
-        batch_vals = 1.0 + cov / (bx * by)[:n_batches]
+        sums = np.add.reduceat(prod, groups)
+        value = float(1.0 + sums.sum() / n / (mx * my))
+        # Each batch's own centred product sum is the window-centred one
+        # less m (bx - mx)(by - my) (Chan, Golub & LeVeque 1983).  Where that
+        # term exceeds bx by (a batch far dimmer than the window), its
+        # rounding would exceed an ulp of the batch value, so such a batch
+        # is summed again about its own means.
+        shift = (bx - mx) * (by - my)
+        cov = sums[:n_batches] / m - shift
+        for j in np.flatnonzero(np.abs(shift) > bx * by):
+            seg = slice(edges[j], edges[j + 1])
+            x, y = traces.values[runs[0][seg], a], traces.values[runs[shifted][seg], b]
+            cov[j] = np.sum(length[seg] * (x - bx[j]) * (y - by[j])) / m
+        batch_vals = 1.0 + cov / (bx * by)
         std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
         results.append(CorrelationResult(value=value, tau=k * traces.dt, n_samples=n, std_error=std_error))
     return results

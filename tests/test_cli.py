@@ -402,15 +402,17 @@ def test_analyze_round_trip_matches_pipeline_bitwise(tmp_path, small_cfg_path):
 
 # SHA-256 of `hbt simulate --seed 7` and of `hbt analyze --tau-max 5e-5` on
 # its output at sim.duration = 2e-3 (numpy 2.4, x86-64).  The simulate bytes
-# are those written before the trace CSV became run-wise; the analyze bytes
-# are those of the estimators summing per segment of runs, which moved
-# cells at rounding level (within 1e-15 relative) from the per-sample sums.
+# are those written before the trace CSV became run-wise.  The analyze bytes
+# are those of the batch errors taken from one window-centred product per
+# kind; that moved 19 and 31 of the 99 cells from the batch-centred
+# products, by at most 8.5e-16 relative (the per-segment sums had moved
+# them within 1e-15 of the per-sample sums before).
 GOLDEN_DIGESTS = {
     "default": ("", "92fc70970583f3597ebdffec49b4e24a0105b5ca300aaf653de66a439121fbbc",
-                "abe62d2fd856259df98fe3fcae3632c70acb644541069ba8cdca270ee101f1f3"),
+                "e60bac01024579f5484fb01da8f109b8873f350b6cad11cda20022223fa4580b"),
     "unbalanced": ("bench.balance = 0.5\nbench.phi_d = 30 deg\n",
                    "3daf4d19ab83cdc1ca527673532c46219eab2621f648d85f9c91951c23d01d65",
-                   "0f36a3b5199d3459c16c1199004d6cd53307af29d53baf3eb13e283ffa152903"),
+                   "a930cd08123cd2f062c34d08e500212668ae979d58478c0233c1fb1670dd910c"),
 }
 
 
@@ -426,12 +428,13 @@ def test_simulate_and_analyze_bytes_are_pinned(tmp_path, lines, simulate_digest,
 
 
 # SHA-256 of `hbt sweep --seed 7` at sim.duration = 2e-3, on the default
-# delay grid and at zero delay with three repeats, as written since the
-# estimators sum per segment of runs (numpy 2.4, x86-64).
+# delay grid and at zero delay with three repeats (numpy 2.4, x86-64), as
+# written since the batch errors come from one window-centred product per
+# kind: 338 of 1716 and 29 of 156 cells moved, by at most 8.3e-16 relative.
 GOLDEN_SWEEP_DIGESTS = {
-    "default": ("", "6b42f159897d3c1538f0f412bb99d16e6d6014752ef579918cf08a7215218311"),
+    "default": ("", "adf56eeb537de191bdf22e3ce003faf8daa3b7f170ac4b9876dbb6b3f9d67974"),
     "zero_delay": ("sim.repeats = 3\nsweep.tau_max = 0\nsweep.tau_steps = 1\n",
-                   "e2a6abd4f4c701bf08833c1eb282f711017793970da2691a065999df9f5b5411"),
+                   "2ca61034687b030066d37de7a034e40e1f9a581b2a55e4f6a71913c4083a0f27"),
 }
 
 
@@ -492,6 +495,30 @@ def test_analyze_off_grid_delay_is_exit_2(tmp_path, capsys):
         ["analyze", str(path), "--taus", "1.5e-7", "--out", str(tmp_path / "o.csv")]
     ) == 2
     assert "multiple of dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, flag, taus, message", [
+    (2000, "--taus", "0,-1e-7", "tau must be finite and >= 0"),
+    (2000, "--taus", "nan", "tau must be finite and >= 0"),
+    (2000, "--taus", "0,1.5e-7", "tau=1.5e-07 is not an integer multiple of dt=1e-07"),
+    (2000, "--taus", "1e-3", "tau=0.001 exceeds half the record length"),
+    (30, "--taus", "0,1.5e-6", "overlap window of 15 samples is shorter than 20 batches"),
+    (2000, "--tau-max", "1e-3", "exceeds half the record length"),
+], ids=["negative", "nan", "off_grid", "beyond_half", "short_window", "tau_max_beyond_half"])
+def test_analyze_delays_refused_by_the_record_name_their_flag(tmp_path, capsys, monkeypatch, n, flag, taus, message):
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, n, [0], [[1.0, 1.0]]), path)
+    monkeypatch.setattr("hbtsim.cli.scan", lambda *args: pytest.fail("scanned before the delays were checked"))
+    assert main(["analyze", str(path), flag, taus, "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hbt: error: {flag}: ") and message in err
+
+
+def test_analyze_record_shorter_than_the_batches_names_the_file(tmp_path, capsys):
+    path = tmp_path / "tiny.csv"
+    save_detector_traces(DetectorTraces(1e-7, 19, [0], [[1.0, 1.0]]), path)
+    assert main(["analyze", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err == f"hbt: error: {path}: overlap window of 19 samples is shorter than 20 batches\n"
 
 
 def test_analyze_tau_max_grid_is_the_sweep_grid(tmp_path, capsys):

@@ -254,6 +254,37 @@ def test_scan_matches_the_per_sample_estimators(traces):
             assert got.n_samples == n - k
 
 
+def small_correlation_records():
+    """Intensities 1e6 (1 + 1e-4 noise), whose g2 - 1 is about 1e-8 and
+    less, and intensities 1 (1 + 0.1 noise) with the samples [400, 800)
+    dimmed by 1e-6: two batches at lag 0 whose means sit about 1e7 times
+    their own spread from the window mean."""
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        starts, _ = random_runs(4000, 400, seed)
+        values = 1e6 * (1.0 + 1e-4 * rng.standard_normal((400, 2)))
+        yield pytest.param(DetectorTraces(1.0, 4000, starts, values), id=f"large_mean{seed}")
+        values = 1.0 + 0.1 * rng.standard_normal((400, 2))
+        values[(starts >= 400) & (starts < 800)] *= 1e-6
+        yield pytest.param(DetectorTraces(1.0, 4000, starts, values), id=f"dim_batches{seed}")
+
+
+@pytest.mark.parametrize("traces", small_correlation_records())
+def test_scan_keeps_small_correlations_against_large_means(traces):
+    # Sums that cancel lose these digits: uncentred products, or a batch's
+    # centred sum derived from the window-centred one when the batch means
+    # sit far from the window means.  The per-sample estimator centres every
+    # sample on its own batch mean.
+    n = traces.n
+    columns = {"cross": (traces.i3, traces.i4), "self3": (traces.i3, traces.i3), "self4": (traces.i4, traces.i4)}
+    lags = [0, 1, n // 4, n // 2]
+    for kind, results in zip(SCAN_KINDS, scan(traces, [float(k) for k in lags])):
+        for k, got in zip(lags, results):
+            value, std_error = per_sample_g2(*columns[kind], k)
+            assert abs(got.value - value) <= 2 * np.spacing(1.0), (kind, k)
+            assert abs(got.std_error - std_error) <= 1e-12 * std_error, (kind, k)
+
+
 def bits(results):
     return [(r.value.hex(), r.std_error.hex(), r.tau, r.n_samples) for r in results]
 
