@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
+from contextlib import contextmanager, suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -21,13 +22,13 @@ import numpy as np
 
 from .bench import BenchConfig, DetectorTraces, mean_intensity
 from .bench import load_detector_traces, save_detector_traces
-from .correlate import N_BATCHES, SCAN_KINDS, CorrelationResult, delay_lag, scan
+from .correlate import SCAN_KINDS, CorrelationResult, delay_lag, scan
 # The benchmark's tracer patches this name (ROADMAP item 4); nothing here
 # calls it.
 from .correlate import g2_delay_scan  # noqa: F401
 from .csvutil import fmt_float as _fmt
 from .csvutil import write_csv
-from .errors import ConfigError
+from .errors import ConfigError, OffGridDelayError
 from .oracle import (
     audit_survivor_sum,
     predict_g2_cross,
@@ -96,7 +97,8 @@ class RunConfig:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
         check_fits_in_memory("sim.duration", samples, "samples per trace", BYTES_PER_SAMPLE)
-        self._check_window(0, "zero delay")
+        with naming("sim.duration"):
+            delay_lag(0.0, self.sim.dt, self.n_samples)
         # A detector sample is at most s/2 and a mean intensity is s/4, with
         # s = a^2 (1 + b) (bench.propagate).  The estimators sum n products
         # of samples and divide by products of means; both must stay normal
@@ -111,8 +113,6 @@ class RunConfig:
             )
         if not sweep:
             return
-        if self.sweep.tau_max > self.sim.duration / 2.0:
-            raise ConfigError("sweep.tau_max", "must not exceed sim.duration/2")
         start, end = self.sweep.phi34_start, self.sweep.phi34_end
         if not math.isfinite(end - start):
             raise ConfigError("sweep.phi34_start, sweep.phi34_end", "phi34_end - phi34_start must be finite")
@@ -122,20 +122,12 @@ class RunConfig:
                 raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
         rows = self.sweep.phi34_steps * self.sweep.tau_steps
         check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
-        taus = checked_delay_grid("sweep.tau_steps", self.sweep.tau_max, self.sweep.tau_steps, self.sim.dt)
-        self._check_window(round(taus[-1] / self.sim.dt), "sweep.tau_max")
+        sweep_grids(self)
 
-    def _check_window(self, lag: int, where: str) -> None:
-        """Refuse a record whose overlap window at ``lag`` holds fewer
-        samples than the estimators have batches (samples and lag as
-        ``generate_trace`` and the estimators round them)."""
-        window = round(self.sim.duration / self.sim.dt) - lag
-        if window < N_BATCHES:
-            raise ConfigError(
-                "sim.duration",
-                f"overlap window of {window} samples at {where} is shorter"
-                f" than the estimators' {N_BATCHES} batches",
-            )
+    @property
+    def n_samples(self) -> int:
+        """Samples per trace, as ``generate_trace`` rounds them."""
+        return round(self.sim.duration / self.sim.dt)
 
 
 # Lower bounds on the bytes per trace sample, sweep row and analyze delay:
@@ -275,21 +267,34 @@ SWEEP_COLUMNS = ["phi34_rad", *_g2_columns(SCAN_KINDS), "oracle_g2_cross", "orac
 ONE_DELAY_STEP = "a grid of 1 step holds only the delay 0; use >= 2 steps or a tau_max of 0"
 
 
-def delay_grid(tau_max: float, steps: int, dt: float) -> np.ndarray:
+@contextmanager
+def naming(field: str):
+    """Re-raise a ``ValueError`` of the block, a delay that the estimators'
+    rule ``delay_lag`` refuses, as ``ConfigError(field)``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
+def delay_grid(fields: tuple[str, str], tau_max: float, steps: int, dt: float, n: int) -> np.ndarray:
     """``steps`` delays from 0 to ``tau_max``, snapped onto the sample grid
-    of period ``dt`` so that the estimators accept them."""
-    return np.round(np.linspace(0.0, tau_max, steps) / dt) * dt
-
-
-def checked_delay_grid(field: str, tau_max: float, steps: int, dt: float) -> np.ndarray:
-    """``delay_grid``, refused (naming ``field``) unless it holds ``steps``
-    distinct delays or is the one delay 0."""
+    of period ``dt``.  ``fields`` are the tau_max and steps keys or flags:
+    the first is named if a record of ``n`` samples cannot take the grid's
+    end, the second unless the grid holds ``steps`` distinct delays or is
+    the one delay 0."""
+    tau_field, steps_field = fields
     if steps == 1 and tau_max > 0.0:
-        raise ConfigError(field, ONE_DELAY_STEP)
-    taus = delay_grid(tau_max, steps, dt)
+        raise ConfigError(steps_field, ONE_DELAY_STEP)
+    # The end's lag round(tau_max / dt) against the record before any array
+    # exists.  The grid snaps tau_max onto the sample grid, so the rule's
+    # last check, that tau_max sits on it, does not apply.
+    with naming(tau_field), suppress(OffGridDelayError):
+        delay_lag(tau_max, dt, n)
+    taus = np.round(np.linspace(0.0, tau_max, steps) / dt) * dt
     if np.any(taus[1:] == taus[:-1]):
         raise ConfigError(
-            field,
+            steps_field,
             f"{steps} steps from 0 to {tau_max!r} s repeat delays on the dt={dt!r} s grid"
             f" ({len(np.unique(taus))} distinct); use fewer steps or a larger tau_max",
         )
@@ -297,8 +302,11 @@ def checked_delay_grid(field: str, tau_max: float, steps: int, dt: float) -> np.
 
 
 def sweep_grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The phi34 and delay grids of the sweep, the delays checked against
+    its records."""
     phi34s = np.linspace(cfg.sweep.phi34_start, cfg.sweep.phi34_end, cfg.sweep.phi34_steps)
-    return phi34s, delay_grid(cfg.sweep.tau_max, cfg.sweep.tau_steps, cfg.sim.dt)
+    fields = ("sweep.tau_max", "sweep.tau_steps")
+    return phi34s, delay_grid(fields, cfg.sweep.tau_max, cfg.sweep.tau_steps, cfg.sim.dt, cfg.n_samples)
 
 
 def _sweep_point_job(job: tuple[RunConfig, int, float, tuple[float, ...]]) -> PointEstimates:
@@ -450,22 +458,19 @@ def _analyze_taus(args, traces: DetectorTraces) -> list[float]:
         if not taus:
             raise ConfigError(field, "no delays given")
     elif args.tau_max is not None:
-        field = "--tau-max"
-        if not (math.isfinite(args.tau_max) and args.tau_max >= 0.0):
-            raise ConfigError(field, "must be finite and >= 0")
         if args.tau_steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
         check_fits_in_memory("--tau-steps", args.tau_steps, "delays", BYTES_PER_DELAY)
-        taus = [float(t) for t in checked_delay_grid("--tau-steps", args.tau_max, args.tau_steps, traces.dt)]
+        field = "--tau-max"
+        grid = delay_grid((field, "--tau-steps"), args.tau_max, args.tau_steps, traces.dt, traces.n)
+        taus = [float(t) for t in grid]
     else:
         field, taus = args.trace, [0.0]
     # Refuse, naming the flag (or the file), any delay that scan would
     # refuse on this record.
-    for tau in taus:
-        try:
-            delay_lag(traces, tau)
-        except ValueError as exc:
-            raise ConfigError(field, str(exc)) from None
+    with naming(field):
+        for tau in taus:
+            delay_lag(tau, traces.dt, traces.n)
     return taus
 
 

@@ -5,9 +5,11 @@ G2(tau) = <I_a(t) I_b(t+tau)> / (<I_a(t)> <I_b(t+tau)>) with all three
 averages taken over the same overlap window of length (N - k) samples,
 k = tau/dt; this removes the O(tau/T) normalization bias of full-trace
 means.  g1 averages over the same window.  Both map a delay to its lag by
-one rule, ``_delay_index``: delays must sit on the sample grid
-(interpolating would smear phase-jump discontinuities) and within half the
-record, and correlation is linear, never circular.
+one rule, ``delay_lag``, which the command line applies too: delays must be
+finite and >= 0, lie within half the record, leave an overlap window of at
+least one sample per batch (g1 takes the whole window as its one batch) and
+sit on the sample grid (interpolating would smear phase-jump
+discontinuities); correlation is linear, never circular.
 
 The standard error comes from batch means: the overlap window is split into
 ``n_batches`` equal batches (default ``N_BATCHES`` = 20; the remainder of
@@ -81,20 +83,26 @@ class CorrelationResult:
             raise ValueError("std_error must be >= 0")
 
 
-def _delay_index(tau: float, dt: float, n_total: int) -> int:
-    """The lag k = tau/dt of a delay into a record of ``n_total`` samples,
-    for a finite ``tau >= 0`` on the sample grid with 2k <= n_total."""
+def delay_lag(tau: float, dt: float, n: int, n_batches: int = N_BATCHES) -> int:
+    """The lag k = tau/dt of a delay into a record of ``n`` samples of period
+    ``dt``, for a finite ``tau >= 0`` with 2k <= n, an overlap window of at
+    least ``n_batches`` samples, and on the sample grid.
+
+    The grid is checked last, so a delay that the caller snaps onto it (a
+    grid end) meets the same bounds first.
+    """
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError("tau must be finite and >= 0")
-    k = int(round(tau / dt))
+    lag = tau / dt
+    # A lag beyond the record (inf, if tau/dt overflows) is beyond half of
+    # it before round() sees it.
+    if lag > n or 2 * round(lag) > n:
+        raise InsufficientDataError(f"tau={tau!r} exceeds half the record length {n * dt!r}")
+    k = round(lag)
+    if n - k < n_batches:
+        raise InsufficientDataError(f"overlap window of {n - k} samples is shorter than {n_batches} batches")
     if abs(tau - k * dt) > 1e-9 * dt:
-        raise OffGridDelayError(
-            f"tau={tau!r} is not an integer multiple of dt={dt!r}"
-        )
-    if 2 * k > n_total:
-        raise InsufficientDataError(
-            f"tau={tau!r} exceeds half the record length {n_total * dt!r}"
-        )
+        raise OffGridDelayError(f"tau={tau!r} is not an integer multiple of dt={dt!r}")
     return k
 
 
@@ -108,18 +116,6 @@ def _segments(starts, n: int, k: int, bounds) -> tuple:
         return np.diff(points), (run[:-1],) * 2, bound[:-1]
     points, (xrun, yrun, bound) = merge_starts(np.minimum(starts, n), np.maximum(starts - k, 0), bounds)
     return np.diff(points), (xrun[:-1], yrun[:-1]), bound[:-1]
-
-
-def delay_lag(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> int:
-    """The lag k of ``tau`` into ``traces`` as ``scan`` takes it: the lag
-    rule of ``_delay_index``, and an overlap window of at least
-    ``n_batches`` samples."""
-    k = _delay_index(tau, traces.dt, traces.n)
-    if traces.n - k < n_batches:
-        raise InsufficientDataError(
-            f"overlap window of {traces.n - k} samples is shorter than {n_batches} batches"
-        )
-    return k
 
 
 def scan(
@@ -140,7 +136,7 @@ def scan(
     if n_batches < 2:
         raise ValueError("n_batches must be >= 2")
     pairs = [_KIND_COLUMNS[kind] for kind in kinds]
-    lags = [delay_lag(traces, tau, n_batches) for tau in taus]
+    lags = [delay_lag(tau, traces.dt, traces.n, n_batches) for tau in taus]
     per_lag = [_scan_lag(traces, k, pairs, n_batches) for k in lags]
     return [[results[i] for results in per_lag] for i in range(len(kinds))]
 
@@ -226,7 +222,7 @@ def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     Both averages run over the same overlap window; tau = 0 returns exactly 1
     unless the window has zero power.
     """
-    k = _delay_index(tau, trace.dt, trace.n)
+    k = delay_lag(tau, trace.dt, trace.n, 1)
     n = trace.n - k
     length, (head, shifted), _ = _segments(trace.starts, n, k, [n])
     head, shifted = trace.values[head], trace.values[shifted]

@@ -62,10 +62,10 @@ class PolarizationState:
 class Projector:
     """2x2 Hermitian idempotent rank-one matrix |K><K|."""
 
-    m: np.ndarray
+    matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=complex)
+        m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("projector must be a 2x2 matrix")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
@@ -76,11 +76,7 @@ class Projector:
             raise ValueError("projector must have unit trace (rank one)")
         m = m.copy()
         m.flags.writeable = False
-        object.__setattr__(self, "m", m)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.m
+        object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)

@@ -182,13 +182,17 @@ def test_out_of_range_value_names_its_field(tmp_path, capsys, line, field):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("duration, tau_max", [("1e-9", "0"), ("1e-6", "0"), ("3e-6", "1.5e-6")])
-def test_record_shorter_than_the_batches_names_sim_duration(tmp_path, capsys, monkeypatch, duration, tau_max):
+@pytest.mark.parametrize("duration, tau_max, field", [
+    ("1e-9", "0", "sim.duration"),
+    ("1e-6", "0", "sim.duration"),
+    ("3e-6", "1.5e-6", "sweep.tau_max"),  # 30 samples: the window at tau_max is 15
+], ids=["1e-9-0", "1e-6-0", "3e-6-1.5e-6"])
+def test_record_shorter_than_the_batches_names_sim_duration(tmp_path, capsys, monkeypatch, duration, tau_max, field):
     monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
     path = tmp_path / "short.cfg"
     path.write_text(f"sim.duration = {duration}\nsweep.tau_max = {tau_max}\n")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "sim.duration: overlap window" in capsys.readouterr().err
+    assert f"{field}: overlap window" in capsys.readouterr().err
 
 
 def test_record_of_exactly_the_batches_is_accepted(tmp_path):
@@ -216,12 +220,68 @@ def test_simulate_is_not_checked_against_the_sweep_grid(tmp_path, capsys):
         assert main(["simulate", "--config", str(path), "--seed", "3", "--out", str(traces)]) == 0
     assert len(load_detector_traces(traces)) == 500
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-    assert "sweep.tau_max: must not exceed sim.duration/2" in capsys.readouterr().err
+    assert "sweep.tau_max: tau=5e-05 exceeds half the record length" in capsys.readouterr().err
     for lines in ("sweep.tau_max = 0\n", "sweep.phi34_start = -1e308\nsweep.phi34_end = 1e308\n"):
         path.write_text("sim.duration = 2e-3\n" + lines)
         assert parse_config_file(path, sweep=False).sim.duration == 2e-3
         with pytest.raises(ConfigError, match="sweep"):
             parse_config_file(path)
+
+
+def test_sweep_takes_a_grid_end_at_half_the_record(tmp_path):
+    # 20000 samples; tau_max snaps to the lag 10000, exactly half the record
+    path = tmp_path / "half.cfg"
+    path.write_text("sim.duration = 2e-3\nsweep.tau_max = 1.00004e-3\nsweep.phi34_steps = 2\nsweep.tau_steps = 2\n")
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", str(path), "--seed", "7", "--out", str(out)]) == 0
+    _, rows = read_rows(out)
+    assert sorted({float(r[1]) for r in rows}) == [0.0, 10000 * 1e-7]
+
+
+@pytest.mark.parametrize("lines, message", [
+    # 20001 samples; tau_max snaps to the lag 10001, beyond half the record
+    ("sim.duration = 2.00014e-3\nsweep.tau_max = 1.00006e-3\n",
+     "sweep.tau_max: tau=0.00100006 exceeds half the record length"),
+    ("sim.duration = 2e-3\nsweep.tau_max = 1e308\n", "sweep.tau_max: tau=1e+308 exceeds half the record length"),
+], ids=["one_lag_beyond_half", "overflowing_lag"])
+def test_sweep_delays_beyond_half_the_record_name_sweep_tau_max(tmp_path, capsys, monkeypatch, lines, message):
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "beyond.cfg"
+    path.write_text(lines)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"hbt: error: {message}")
+
+
+@pytest.mark.parametrize("n, tau_max, steps", [
+    (20000, 1.00004e-3, 2),  # end at exactly half the record
+    (20001, 1.00006e-3, 11),  # end one lag beyond half
+    (2000, 1e-4, 11),  # lag 1000, though 1e-4 > (2000 * 1e-7) / 2 by a rounding
+    (2000, 1e-3, 11),
+    (40, 2e-6, 11),  # window at the end of exactly the batches
+    (30, 1.5e-6, 11),  # window at the end shorter than the batches
+    (19, 0.0, 1),  # window at delay 0 shorter than the batches
+    (200, 3e-7, 4),
+    (200, 3e-7, 11),  # repeated lags
+    (200, 4e-8, 2),  # both round to lag 0
+    (200, 1e-7, 1),  # one step above 0
+    (100, 1e308, 11),  # the end's lag overflows a float
+])
+def test_sweep_and_analyze_accept_the_same_delay_grids(tmp_path, n, tau_max, steps):
+    values = {"sim.duration": n * 1e-7, "sweep.tau_max": tau_max, "sweep.tau_steps": steps}
+    try:
+        cfg = build_run_config(values)
+    except ConfigError:
+        sweep_accepts = False
+    else:
+        assert round(cfg.sim.duration / cfg.sim.dt) == n
+        sweep_accepts = True
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, n, [0], [[1.0, 1.0]]), path)
+    argv = ["analyze", str(path), "--tau-max", repr(tau_max), "--tau-steps", str(steps),
+            "--out", str(tmp_path / "o.csv")]
+    assert (main(argv) == 0) == sweep_accepts
 
 
 @pytest.mark.parametrize("lines, lags", [
@@ -504,12 +564,17 @@ def test_analyze_off_grid_delay_is_exit_2(tmp_path, capsys):
     (2000, "--taus", "1e-3", "tau=0.001 exceeds half the record length"),
     (30, "--taus", "0,1.5e-6", "overlap window of 15 samples is shorter than 20 batches"),
     (2000, "--tau-max", "1e-3", "exceeds half the record length"),
-], ids=["negative", "nan", "off_grid", "beyond_half", "short_window", "tau_max_beyond_half"])
+    (2000, "--taus", "1e308", "tau=1e+308 exceeds half the record length"),
+    (2000, "--tau-max", "1e308", "tau=1e+308 exceeds half the record length"),
+], ids=["negative", "nan", "off_grid", "beyond_half", "short_window", "tau_max_beyond_half",
+        "overflowing_lag", "tau_max_overflowing_lag"])
 def test_analyze_delays_refused_by_the_record_name_their_flag(tmp_path, capsys, monkeypatch, n, flag, taus, message):
     path = tmp_path / "const.csv"
     save_detector_traces(DetectorTraces(1e-7, n, [0], [[1.0, 1.0]]), path)
     monkeypatch.setattr("hbtsim.cli.scan", lambda *args: pytest.fail("scanned before the delays were checked"))
-    assert main(["analyze", str(path), flag, taus, "--out", str(tmp_path / "o.csv")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", str(path), flag, taus, "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"hbt: error: {flag}: ") and message in err
 

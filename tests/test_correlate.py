@@ -402,7 +402,8 @@ def test_delay_validation():
     (math.nan, ValueError),
     (1.5e-7, OffGridDelayError),
     (51e-7, InsufficientDataError),  # beyond half the record
-], ids=["negative", "nan", "off_grid", "beyond_half"])
+    (1e308, InsufficientDataError),  # tau/dt overflows a float
+], ids=["negative", "nan", "off_grid", "beyond_half", "overflowing_lag"])
 def test_g1_and_g2_share_the_lag_rule(tau, error):
     field = FieldTrace(1e-7, 100, [0], [1.0])
     for estimate in (
