@@ -15,7 +15,9 @@ two polarization components.
 Detector traces, like source traces, are stored as runs of equal samples
 and built only from them, as ``DetectorTraces(dt, n, starts, values)``:
 ``propagate`` evaluates the bench once per run of the union of both
-sources' runs, the CSV writer and reader work run by run, the estimators
+sources' runs, the CSV writer formats each run's line once and writes it
+repeated in blocks of about ``csvutil.IO_BLOCK`` (64 KiB), the reader
+counts each run's equal lines in C and parses them once, the estimators
 sum per segment of runs, and the per-sample ``i3``/``i4`` are built only
 when they are read.
 """
@@ -25,12 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
+from operator import countOf
 
 import numpy as np
 
 from .csvutil import fmt_float as _fmt
-from .csvutil import decode_line, parse_dt_header, write_csv
+from .csvutil import IO_BLOCK, decode_line, parse_dt_header, write_csv
 from .errors import IncompatibleTracesError, TraceFormatError
 from .source import FieldTrace, RunLengthRecord, merge_starts
 
@@ -131,27 +134,42 @@ def mean_intensity(traces: DetectorTraces, which: int) -> float:
 def save_detector_traces(traces: DetectorTraces, path) -> None:
     """Write ``traces`` as a ``# dt=`` header and one ``i3,i4`` row per sample.
 
-    The file is streamed run by run: each run's line is formatted once and
-    repeated over the run, the bytes of formatting every row on its own.
+    Each run's line is formatted once and handed to ``write_csv`` repeated
+    over the run, in pieces of at most one ``IO_BLOCK``, so the writer holds
+    about one block whatever the run lengths.  The bytes are those of
+    formatting every row on its own.
     """
     lines = (f"{_fmt(a)},{_fmt(b)}" for a, b in traces.values.tolist())
-    write_csv(path, f"# dt={_fmt(traces.dt)}", map("\n".join, map(repeat, lines, traces.counts.tolist())))
+    write_csv(path, f"# dt={_fmt(traces.dt)}", chain.from_iterable(map(_repeated, lines, traces.counts.tolist())))
+
+
+def _repeated(line: str, count: int):
+    """``count`` copies of ``line`` joined by newlines, cut into items of at
+    most one ``IO_BLOCK`` (``write_csv`` ends each item with a newline)."""
+    row = line + "\n"
+    per_item = IO_BLOCK // len(row)
+    full, rest = divmod(count, per_item)
+    if full:
+        yield from repeat((row * per_item)[:-1], full)
+    if rest:
+        yield (row * rest)[:-1]
 
 
 def load_detector_traces(path) -> DetectorTraces:
-    """Read a file written by ``save_detector_traces``, line by line.
+    """Read a file written by ``save_detector_traces``, line by line, through
+    a buffer of one ``IO_BLOCK``.
 
     Each group of equal neighbouring lines (CRLF or LF, the last one with
-    or without) is decoded and parsed once and becomes one run of the
-    traces' stored form.  Blank lines and ``#`` lines after the header are
-    skipped.  A line that is not UTF-8, malformed or out of range is
-    reported at the first line where it appears.
+    or without) is counted in C, decoded and parsed once, and becomes one
+    run of the traces' stored form.  Blank lines and ``#`` lines after the
+    header are skipped.  A line that is not UTF-8, malformed or out of
+    range is reported at the first line where it appears.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=IO_BLOCK) as fh:
         dt = parse_dt_header(decode_line(fh.readline(), 1), 1)
         pairs, row_starts, n, lineno, prev = [], [], 0, 2, None
         for raw, group in groupby(fh):
-            rows = sum(1 for _ in group)
+            rows = countOf(group, raw)
             line = decode_line(raw, lineno)
             if line and not line.startswith("#"):
                 if line != prev:

@@ -101,7 +101,9 @@ def delay_lag(tau: float, dt: float, n: int, n_batches: int = N_BATCHES) -> int:
     k = round(lag)
     if n - k < n_batches:
         raise InsufficientDataError(f"overlap window of {n - k} samples is shorter than {n_batches} batches")
-    if abs(tau - k * dt) > 1e-9 * dt:
+    # A delay typed in decimal is off k*dt by its own rounding, which grows
+    # with tau: a few ulps of tau on top of the fixed share of dt.
+    if abs(tau - k * dt) > 1e-9 * dt + 4 * math.ulp(tau):
         raise OffGridDelayError(f"tau={tau!r} is not an integer multiple of dt={dt!r}")
     return k
 

@@ -12,6 +12,9 @@ from typing import Iterable
 
 from .errors import TraceFormatError
 
+# Bytes of one write of ``write_csv`` (about) and of the trace reader's buffer.
+IO_BLOCK = 1 << 16
+
 
 def fmt_float(x: float) -> str:
     """Shortest decimal form that round-trips to the same binary value."""
@@ -19,12 +22,23 @@ def fmt_float(x: float) -> str:
 
 
 def write_csv(path, header: str, rows: Iterable[str]) -> None:
-    """Write the ``header`` line, then each item of ``rows`` and a newline,
-    as it comes (an item may hold several lines), holding one item at most."""
+    """Write the ``header`` line, then each item of ``rows`` and a newline
+    (an item may hold several lines).
+
+    The lines are joined and written a block of about ``IO_BLOCK`` at a
+    time, so the writer holds one block and the next item at most.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
+        block, size = [header], len(header) + 1
         for row in rows:
-            fh.write(row + "\n")
+            if size + len(row) >= IO_BLOCK:
+                block.append("")
+                fh.write("\n".join(block))
+                block, size = [], 0
+            block.append(row)
+            size += len(row) + 1
+        block.append("")
+        fh.write("\n".join(block))
 
 
 def decode_line(raw: bytes, line_number: int) -> str:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hbtsim.bench import (
     save_detector_traces,
 )
 from hbtsim.correlate import g2_cross
+from hbtsim.csvutil import IO_BLOCK, write_csv
 from hbtsim.errors import IncompatibleTracesError, TraceFormatError
 from hbtsim.pipeline import simulate_detectors
 from hbtsim.poincare import linear_state, projector_of
@@ -342,6 +344,87 @@ def test_detector_csv_error_names_the_first_bad_line(tmp_path, bad):
     path.write_text("# dt=1e-07\n0.1,0.2\n# c\n0.1,0.2\n" + f"{bad}\n" * 5 + "0.1,0.2\n")
     with pytest.raises(TraceFormatError, match="^line 5:"):
         load_detector_traces(path)
+
+
+# --- trace files longer than one IO_BLOCK -----------------------------------------
+
+
+def test_detector_csv_run_across_read_blocks_is_the_per_row_bytes(tmp_path):
+    # 38-byte lines from sample 1000 to 4000 straddle the first block
+    # boundary, 10-byte lines from 4100 on the second.
+    traces = DetectorTraces(1e-7, 6000, [0, 1000, 4000, 4100], [[0.1, 0.2], [1 / 3, 2 / 7], [0.5, 1 / 9], [0.25, 0.75]])
+    path = tmp_path / "det.csv"
+    save_detector_traces(traces, path)
+    data = path.read_bytes()
+    assert data == per_row_csv(traces).encode()
+    for crlf in (False, True):
+        if crlf:
+            path.write_bytes(data.replace(b"\n", b"\r\n"))
+        written = path.read_bytes()
+        lines = written.splitlines()
+        for boundary in (IO_BLOCK, 2 * IO_BLOCK):
+            line = written.count(b"\n", 0, boundary) + 1
+            assert lines[line - 2] == lines[line - 1] == lines[line]  # inside a run
+        back = load_detector_traces(path)
+        assert back.dt == traces.dt
+        assert back.starts.tolist() == traces.starts.tolist()
+        assert back.values.tobytes() == traces.values.tobytes()
+
+
+def lines_from_a_block_boundary(offset: int) -> tuple[str, int]:
+    """A per-row trace file of equal 8-byte lines, padded by a comment so
+    that a line starts at every ``IO_BLOCK`` boundary, and the number of the
+    line at byte ``offset``."""
+    header, rows = per_row_csv(DetectorTraces(1e-7, 20_000, [0], [[0.1, 0.2]])).split("\n", 1)
+    text = f"{header}\n#pad\n{rows}"
+    assert len(f"{header}\n#pad\n") % 8 == 0 and rows.startswith("0.1,0.2\n")
+    return text, text.count("\n", 0, offset) + 1
+
+
+@pytest.mark.parametrize("offset, line", [(IO_BLOCK, 8193), (2 * IO_BLOCK, 16385)], ids=["first", "second"])
+def test_detector_csv_bad_value_after_a_block_boundary_names_its_line(tmp_path, offset, line):
+    text, at = lines_from_a_block_boundary(offset)
+    assert at == line and text[offset - 1] == "\n"
+    path = tmp_path / "bad.csv"
+    path.write_text(text[:offset] + "0.1,zap\n" + text[offset + 8 :])
+    with pytest.raises(TraceFormatError, match=f"^line {line}: expected 'i3,i4' numbers, got '0.1,zap'$"):
+        load_detector_traces(path)
+
+
+@pytest.mark.parametrize("offset, line", [(IO_BLOCK, 8193), (IO_BLOCK + 800, 8293)], ids=["at_boundary", "inside_block"])
+def test_detector_csv_byte_that_is_not_utf8_after_the_first_block(tmp_path, offset, line):
+    text, at = lines_from_a_block_boundary(offset)
+    assert at == line
+    path = tmp_path / "bad.csv"
+    data = text.encode()
+    path.write_bytes(data[:offset] + b"0.1,0.\xff\n" + data[offset + 8 :])
+    with pytest.raises(TraceFormatError, match=f"^line {line}: not UTF-8$"):
+        load_detector_traces(path)
+
+
+def test_detector_csv_one_run_longer_than_a_block(tmp_path):
+    traces = DetectorTraces(1e-7, 100_000, [0], [[0.5, 1 / 3]])  # 2.3 MB of equal lines
+    path = tmp_path / "det.csv"
+    save_detector_traces(traces, path)
+    assert path.read_bytes() == per_row_csv(traces).encode()
+    tracemalloc.start()
+    try:
+        save_detector_traces(traces, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * IO_BLOCK
+
+
+@pytest.mark.parametrize("items", [
+    [],
+    [f"{i},{i * i}" for i in range(30_000)],
+    ["a\nb", "", "x" * (IO_BLOCK - 1), "y" * IO_BLOCK, "z" * (3 * IO_BLOCK + 5), "\n".join(["w" * 99] * 2000), "café", "\n"],
+], ids=["no_items", "many_small", "multi_line"])
+def test_write_csv_writes_each_item_and_a_newline(tmp_path, items):
+    path = tmp_path / "out.csv"
+    write_csv(path, "# h", iter(items))
+    assert path.read_bytes() == ("# h\n" + "".join(item + "\n" for item in items)).encode()
 
 
 def test_detector_traces_validation():

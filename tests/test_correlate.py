@@ -11,6 +11,7 @@ from hbtsim.correlate import (
     N_BATCHES,
     SCAN_KINDS,
     CorrelationResult,
+    delay_lag,
     first_order_coherence,
     g2_cross,
     g2_delay_scan,
@@ -413,6 +414,15 @@ def test_g1_and_g2_share_the_lag_rule(tau, error):
         with pytest.raises(error) as info:
             estimate()
         assert type(info.value) is error
+
+
+def test_decimal_delays_on_a_long_record_are_on_the_grid():
+    # Typed in decimal, tau = k*dt is off by about tau * 1e-16, more than
+    # 1e-9 dt once k passes 1e7; half a sample off the grid is still refused.
+    for k in range(12_345_678, 12_347_678):
+        assert delay_lag(float("%.10g" % (k * 1e-7)), 1e-7, 10**8) == k
+        with pytest.raises(OffGridDelayError):
+            delay_lag((k + 0.5) * 1e-7, 1e-7, 10**8)
 
 
 def test_g1_and_g2_accept_half_the_record():
