@@ -15,7 +15,6 @@ import os
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -325,6 +324,14 @@ def pool_workers(requested: int, n_jobs: int, n_cpus: int | None) -> int:
     return min(requested, n_jobs, n_cpus or 1)
 
 
+def usable_cpus() -> int | None:
+    """The CPUs this process may run on (all of the host's where the
+    platform cannot tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
     """All sweep points, in grid order regardless of worker scheduling."""
     phi34s, taus = sweep_grids(cfg)
@@ -332,8 +339,12 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
         (cfg, i, float(phi34), tuple(float(t) for t in taus))
         for i, phi34 in enumerate(phi34s)
     ]
-    workers = pool_workers(workers, len(jobs), os.cpu_count())
+    workers = pool_workers(workers, len(jobs), usable_cpus())
     if workers > 1:
+        # Imported here, not at module level: the pool's modules would add
+        # a third to hbtsim's own import time for every other command.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point_job, jobs))
     return [_sweep_point_job(job) for job in jobs]

@@ -170,8 +170,8 @@ def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[Cor
                 raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
             mean = s.sum() / n
             factors[key] = mean, v - mean, s[:n_batches] / m
-    results = []
-    for a, b in pairs:
+    values, batch_vals = [], np.empty((len(pairs), n_batches))
+    for (a, b), row in zip(pairs, batch_vals):
         mx, dx, bx = factors[a, 0]
         my, dy, by = factors[b, shifted]
         # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant
@@ -179,7 +179,7 @@ def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[Cor
         prod = dx * dy
         prod *= length
         sums = np.add.reduceat(prod, groups)
-        value = float(1.0 + sums.sum() / n / (mx * my))
+        values.append(float(1.0 + sums.sum() / n / (mx * my)))
         # Each batch's own centred product sum is the window-centred one
         # less m (bx - mx)(by - my) (Chan, Golub & LeVeque 1983).  Where that
         # term exceeds bx by (a batch far dimmer than the window), its
@@ -191,10 +191,13 @@ def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[Cor
             seg = slice(edges[j], edges[j + 1])
             x, y = traces.values[runs[0][seg], a], traces.values[runs[shifted][seg], b]
             cov[j] = np.sum(length[seg] * (x - bx[j]) * (y - by[j])) / m
-        batch_vals = 1.0 + cov / (bx * by)
-        std_error = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
-        results.append(CorrelationResult(value=value, tau=k * traces.dt, n_samples=n, std_error=std_error))
-    return results
+        row[:] = 1.0 + cov / (bx * by)
+    # One std over the rows: each row is the same bits as its own 1-d std.
+    std_errors = np.std(batch_vals, axis=1, ddof=1) / math.sqrt(n_batches)
+    return [
+        CorrelationResult(value=value, tau=k * traces.dt, n_samples=n, std_error=float(std_error))
+        for value, std_error in zip(values, std_errors)
+    ]
 
 
 def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:

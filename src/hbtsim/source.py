@@ -55,20 +55,27 @@ def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     of its last element at or before each point of the union (-1 if none).
 
     A list of run starts thus maps each union point to the run it falls in.
-    A stable sort of sorted lists is a linear merge; at the last of each
-    group of equal points, the number of a list's elements so far, less
-    one, is that index.
+    A stable sort of sorted lists is a linear merge, and it keeps the lists
+    in order: the elements of lists 0..i are those whose place in the
+    concatenation is below the end of list i.  At the last of each group of
+    equal points, the running count of those elements, less that of lists
+    0..i-1 and less one, is list i's index; the last list's index is the
+    position less the count of all the others, so L lists take L - 1 counts.
     """
     points = np.concatenate(lists)
     order = np.argsort(points, kind="stable")
     points = points[order]
-    last = np.append(points[1:] != points[:-1], True)
-    source = np.repeat(np.arange(len(lists), dtype=np.int8), [len(a) for a in lists])[order]
-    runs = []
-    for i in range(len(lists)):
-        run = np.cumsum(source == i, out=order)[last]  # order's memory, free now
+    last = np.flatnonzero(np.append(points[1:] != points[:-1], True))
+    ends = np.cumsum([len(a) for a in lists[:-1]])
+    runs, below = [], 0
+    for i, end in enumerate(ends):
+        # The last count may take order's memory: nothing reads order after it.
+        upto = np.cumsum(order < end, out=order if i == len(ends) - 1 else None)[last]
+        run = upto - below
         run -= 1
         runs.append(run)
+        below = upto
+    runs.append(last - below)
     return points[last], runs
 
 

@@ -1,6 +1,10 @@
+import concurrent.futures
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -8,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hbtsim
 from hbtsim.bench import DetectorTraces, load_detector_traces, save_detector_traces
 from hbtsim.cli import (
     BYTES_PER_DELAY,
@@ -22,6 +27,7 @@ from hbtsim.cli import (
     parse_config_file,
     pool_workers,
     sweep_grids,
+    usable_cpus,
 )
 from hbtsim.correlate import SCAN_KINDS, g2_cross
 from hbtsim.errors import ConfigError
@@ -405,6 +411,43 @@ def test_pool_workers_bounded_by_jobs_and_cpus():
     assert pool_workers(10 ** 6, 13, 4) == 4
     assert pool_workers(8, 13, None) == 1
     assert pool_workers(1, 13, 8) == 1
+
+
+def test_usable_cpus_are_those_of_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert usable_cpus() == 64
+
+
+def test_sweep_on_one_usable_cpu_runs_serially(tmp_path, small_cfg_path, monkeypatch):
+    serial, pinned = tmp_path / "serial.csv", tmp_path / "pinned.csv"
+    main(["sweep", "--config", str(small_cfg_path), "--out", str(serial)])
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    main(["sweep", "--config", str(small_cfg_path), "--workers", "4", "--out", str(pinned)])
+    assert pinned.read_bytes() == serial.read_bytes()
+
+
+def test_import_and_config_load_no_process_pool(small_cfg_path):
+    # Only a parallel sweep needs the pool, so start-up must not pay for it.
+    src = Path(hbtsim.__file__).parents[1]
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "import hbtsim.cli; hbtsim.cli.parse_config_file(sys.argv[2]);"
+        "print(*sorted(m for m in sys.modules if m.startswith(('concurrent.futures', 'multiprocessing'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", probe, str(src), str(small_cfg_path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.split() == []
 
 
 def test_sweep_tracks_oracle(zero_delay_sweep, tmp_path):

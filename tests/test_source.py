@@ -12,6 +12,7 @@ from hbtsim.source import (
     PhaseNoiseConfig,
     default_source_config,
     generate_trace,
+    merge_starts,
     phase_jump_process,
     sample_dwell,
     truncated_dwell_mean,
@@ -284,3 +285,20 @@ def test_field_trace_from_samples_and_from_runs_agree(samples, starts):
         assert len(record) == len(samples)
     assert not trace.samples.flags.writeable and not trace.starts.flags.writeable
     assert not trace.values.flags.writeable
+
+
+def test_merge_starts_matches_searchsorted():
+    rng = np.random.default_rng(5)
+    for case in range(400):
+        span = int(rng.integers(1, 60))
+        lists = [np.sort(rng.integers(0, span, rng.integers(1, 30))) for _ in range(rng.integers(1, 5))]
+        # Clipped shifted starts repeat 0, as the lag-k starts of a record
+        # do; a one-element list is the bounds of a one-batch window.
+        lists[0] = np.maximum(lists[0] - int(rng.integers(0, span)), 0)
+        if case % 4 == 0:
+            lists[-1] = lists[-1][:1]
+        points, runs = merge_starts(*lists)
+        assert np.array_equal(points, np.unique(np.concatenate(lists)))
+        assert len(runs) == len(lists)
+        for lst, run in zip(lists, runs):
+            assert np.array_equal(run, np.searchsorted(lst, points, side="right") - 1)
