@@ -47,6 +47,18 @@ its scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are one-kind
 scans.  Every delay is checked (``delay_lag``) before the first lag is
 scanned, and lags are scanned one at a time, so the temporaries stay those
 of one lag.
+
+Most of a lag's cost is per call, not per segment, so the small arrays are
+worked in blocks.  The kinds' batch and window means, batch sums, shifts,
+covariances and batch values are each one ``(kinds, batches)`` array,
+computed once per lag for all kinds; each lag writes its batch values into
+one ``(lags, kinds, batches)`` array, and the batch errors are one
+``np.std`` per scan.  The per-segment arrays (factor columns, centred
+products) stay 1-d, and few of them are alive at once.  One pass over all
+lags makes arrays past the allocator's mmap threshold, and columns stacked
+into 2-d blocks keep more memory at the heap top, which the allocator then
+trims and grows again; either way every use faults in fresh pages, and
+both ran slower.
 """
 
 from __future__ import annotations
@@ -113,11 +125,11 @@ def _segments(starts, n: int, k: int, bounds) -> tuple:
     ``-k`` and at ``bounds`` (sorted, from 0, ending at n).  Returns each
     segment's length, the runs that hold t and t + k over it, and the index
     of the last bound at or before it."""
-    if k == 0:  # the shifted starts are the starts: merge them once
-        points, (run, bound) = merge_starts(np.minimum(starts, n), bounds)
-        return np.diff(points), (run[:-1],) * 2, bound[:-1]
+    if k == 0:  # the shifted starts are the starts, all below n: merge them once
+        points, (run, bound) = merge_starts(starts, bounds)
+        return points[1:] - points[:-1], (run[:-1],) * 2, bound[:-1]
     points, (xrun, yrun, bound) = merge_starts(np.minimum(starts, n), np.maximum(starts - k, 0), bounds)
-    return np.diff(points), (xrun[:-1], yrun[:-1]), bound[:-1]
+    return points[1:] - points[:-1], (xrun[:-1], yrun[:-1]), bound[:-1]
 
 
 def scan(
@@ -130,7 +142,11 @@ def scan(
     in the order of ``taus``.
 
     Kind ``cross`` correlates x = I3 at t with y = I4 at t + tau, ``self3``
-    and ``self4`` a detector with itself.
+    and ``self4`` a detector with itself.  Each lag fills its block of one
+    (lags, kinds, batches) array of batch values, with the batch arithmetic
+    of all kinds in one block, and one ``np.std`` over it gives every error
+    bar of the scan.  The per-segment arrays stay 1-d and are those of one
+    lag: larger or more of them fault in fresh pages on every use.
     """
     unknown = [kind for kind in kinds if kind not in _KIND_COLUMNS]
     if unknown:
@@ -139,21 +155,35 @@ def scan(
         raise ValueError("n_batches must be >= 2")
     pairs = [_KIND_COLUMNS[kind] for kind in kinds]
     lags = [delay_lag(tau, traces.dt, traces.n, n_batches) for tau in taus]
-    per_lag = [_scan_lag(traces, k, pairs, n_batches) for k in lags]
-    return [[results[i] for results in per_lag] for i in range(len(kinds))]
+    columns = tuple(traces.values.T)  # I3 and I4 per run
+    batch_ids = np.arange(n_batches + 2)
+    batch_vals = np.empty((len(lags), len(pairs), n_batches))
+    values = [_scan_lag(traces, columns, k, pairs, batch_ids, block) for k, block in zip(lags, batch_vals)]
+    # Each row of one std over the last axis is the same bits as its own 1-d std.
+    std_errors = (np.std(batch_vals, axis=2, ddof=1) / math.sqrt(n_batches)).tolist()
+    return [
+        [
+            CorrelationResult(value=value[i], tau=k * traces.dt, n_samples=traces.n - k, std_error=std_error[i])
+            for k, value, std_error in zip(lags, values, std_errors)
+        ]
+        for i in range(len(pairs))
+    ]
 
 
-def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[CorrelationResult]:
-    """g2 at lag ``k`` of each (x, y) column pair of ``pairs``."""
+def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_ids, batch_vals) -> list[float]:
+    """g2 at lag ``k`` of each (x, y) column pair of ``pairs``; the batch
+    values go to the rows of ``batch_vals``, one per pair."""
+    n_batches = len(batch_ids) - 2
     n = traces.n - k
     m = n // n_batches
     # Batch j covers [j m, (j + 1) m); the tail [n_batches m, n) counts
     # towards the window only.
-    bounds = np.append(np.arange(n_batches + 1) * m, n)
+    bounds = batch_ids * m
+    bounds[-1] = n
     length, runs, batch = _segments(traces.starts, n, k, bounds)
     # Batch j is the segments edges[j]:edges[j + 1] (in time order, and every
     # batch holds m >= 1 samples); the tail is a group only if it holds any.
-    edges = np.searchsorted(batch, np.arange(n_batches + 1))
+    edges = np.searchsorted(batch, batch_ids[:-1])
     groups = edges if edges[-1] < len(length) else edges[:-1]
     # Each factor column, keyed (column, 0 at t or 1 at t + k; t + 0 is t),
     # with its window mean, centred on it, and its batch means.
@@ -163,41 +193,44 @@ def _scan_lag(traces: DetectorTraces, k: int, pairs, n_batches: int) -> list[Cor
         for key in ((a, 0), (b, shifted)):
             if key in factors:
                 continue
-            v = traces.values[:, key[0]][runs[key[1]]]
+            v = columns[key[0]][runs[key[1]]]
             s = np.add.reduceat(length * v, groups)
             # Positive batch means imply a positive window mean.
             if not s[:n_batches].min() > 0.0:
                 raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
             mean = s.sum() / n
             factors[key] = mean, v - mean, s[:n_batches] / m
-    values, batch_vals = [], np.empty((len(pairs), n_batches))
-    for (a, b), row in zip(pairs, batch_vals):
-        mx, dx, bx = factors[a, 0]
-        my, dy, by = factors[b, shifted]
-        # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant
-        # inputs and free of the large-term cancellation.
+    # Per kind (row): the window sum and the batch sums of its centred
+    # product, and its factors' window and batch means.
+    window = np.empty(len(pairs))
+    sums, bx, by = (np.empty((len(pairs), n_batches)) for _ in range(3))
+    mx, my = np.empty((len(pairs), 1)), np.empty((len(pairs), 1))
+    for i, (a, b) in enumerate(pairs):
+        mx[i], dx, bx[i] = factors[a, 0]
+        my[i], dy, by[i] = factors[b, shifted]
         prod = dx * dy
         prod *= length
-        sums = np.add.reduceat(prod, groups)
-        values.append(float(1.0 + sums.sum() / n / (mx * my)))
-        # Each batch's own centred product sum is the window-centred one
-        # less m (bx - mx)(by - my) (Chan, Golub & LeVeque 1983).  Where that
-        # term exceeds bx by (a batch far dimmer than the window), its
-        # rounding would exceed an ulp of the batch value, so such a batch
-        # is summed again about its own means.
-        shift = (bx - mx) * (by - my)
-        cov = sums[:n_batches] / m - shift
-        for j in np.flatnonzero(np.abs(shift) > bx * by):
-            seg = slice(edges[j], edges[j + 1])
-            x, y = traces.values[runs[0][seg], a], traces.values[runs[shifted][seg], b]
-            cov[j] = np.sum(length[seg] * (x - bx[j]) * (y - by[j])) / m
-        row[:] = 1.0 + cov / (bx * by)
-    # One std over the rows: each row is the same bits as its own 1-d std.
-    std_errors = np.std(batch_vals, axis=1, ddof=1) / math.sqrt(n_batches)
-    return [
-        CorrelationResult(value=value, tau=k * traces.dt, n_samples=n, std_error=float(std_error))
-        for value, std_error in zip(values, std_errors)
-    ]
+        s = np.add.reduceat(prod, groups)
+        window[i] = s.sum()
+        sums[i] = s[:n_batches]
+    # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
+    # and free of the large-term cancellation.
+    values = 1.0 + window / n / (mx * my)[:, 0]
+    # Each batch's own centred product sum is the window-centred one less
+    # m (bx - mx)(by - my) (Chan, Golub & LeVeque 1983).  Where that term
+    # exceeds bx by (a batch far dimmer than the window), its rounding would
+    # exceed an ulp of the batch value, so such a batch is summed again
+    # about its own means.
+    shift = (bx - mx) * (by - my)
+    cov = sums / m - shift
+    norm = bx * by
+    for i, j in zip(*(np.abs(shift) > norm).nonzero()):
+        (a, b), seg = pairs[i], slice(edges[j], edges[j + 1])
+        x, y = columns[a][runs[0][seg]], columns[b][runs[shifted][seg]]
+        cov[i, j] = np.sum(length[seg] * (x - bx[i, j]) * (y - by[i, j])) / m
+    np.divide(cov, norm, out=batch_vals)
+    batch_vals += 1.0
+    return values.tolist()
 
 
 def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:

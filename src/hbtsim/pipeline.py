@@ -61,7 +61,16 @@ class PointEstimates:
 
 
 def _combine(per_repeat: tuple[CorrelationResult, ...]) -> CorrelationResult:
+    """The mean of the repeats' values with their errors added in quadrature.
+
+    One repeat is its own result.  The formula gave the same bits there: the
+    sums and the division by one return its value, and sqrt(e * e) is e
+    exactly for e = 0 and 2**-511 <= e < 2**512.  Below that range the
+    square underflowed, and above it raised ``OverflowError``.
+    """
     r = len(per_repeat)
+    if r == 1:
+        return per_repeat[0]
     value = sum(x.value for x in per_repeat) / r
     err = float(np.sqrt(sum(x.std_error ** 2 for x in per_repeat))) / r
     return CorrelationResult(

@@ -15,6 +15,7 @@ read, bitwise equal to evaluating the field at every sample.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -63,14 +64,17 @@ def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     position less the count of all the others, so L lists take L - 1 counts.
     """
     points = np.concatenate(lists)
-    order = np.argsort(points, kind="stable")
+    order = points.argsort(kind="stable")
     points = points[order]
-    last = np.flatnonzero(np.append(points[1:] != points[:-1], True))
-    ends = np.cumsum([len(a) for a in lists[:-1]])
+    is_last = np.empty(len(points), dtype=bool)
+    np.not_equal(points[1:], points[:-1], out=is_last[:-1])
+    is_last[-1] = True
+    (last,) = is_last.nonzero()
+    ends = list(itertools.accumulate(map(len, lists[:-1])))
     runs, below = [], 0
     for i, end in enumerate(ends):
         # The last count may take order's memory: nothing reads order after it.
-        upto = np.cumsum(order < end, out=order if i == len(ends) - 1 else None)[last]
+        upto = (order < end).cumsum(out=order if i == len(ends) - 1 else None)[last]
         run = upto - below
         run -= 1
         runs.append(run)

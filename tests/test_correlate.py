@@ -302,6 +302,23 @@ def test_scan_kind_is_the_same_bits_alone_or_shared(traces):
     assert alone["self4"] == bits([g2_self(traces, 4, tau) for tau in taus])
 
 
+@pytest.mark.parametrize("traces", run_records())
+def test_every_delay_of_a_scan_is_the_bits_of_its_own_scan(traces):
+    # The lags of a scan share one array of batch values and one std over
+    # it, and its kinds share one block of batch arithmetic.
+    n = traces.n
+    rng = np.random.default_rng(n + len(traces.starts))
+    for draw in range(3):
+        lags = [0, n // 2, *(int(k) for k in rng.integers(0, n // 2 + 1, 5))]
+        rng.shuffle(lags)
+        taus = [float(k) for k in lags]
+        for size in (1, 2, 3):
+            for kinds in itertools.combinations(SCAN_KINDS, size):
+                alone = [scan(traces, [tau], kinds) for tau in taus]
+                for i, results in enumerate(scan(traces, taus, kinds)):
+                    assert bits(results) == [bits(one[i])[0] for one in alone], (draw, kinds)
+
+
 def test_scan_of_no_delays_or_no_kinds():
     tr = constant_traces()
     assert scan(tr, []) == [[], [], []]

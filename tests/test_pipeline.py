@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hbtsim.bench import BenchConfig
-from hbtsim.correlate import g2_cross
-from hbtsim.pipeline import detector_streams, estimate_point, simulate_detectors
+from hbtsim.correlate import CorrelationResult, g2_cross, scan
+from hbtsim.pipeline import _combine, detector_streams, estimate_point, simulate_detectors
 from hbtsim.source import default_source_config, generate_trace
 
 SRC = default_source_config()
@@ -62,3 +62,37 @@ def test_estimate_point_combines_repeats():
     assert est.phi34 == pytest.approx(math.pi / 2)
     with pytest.raises(ValueError):
         estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, repeats=0)
+
+
+def test_one_repeat_keeps_its_scan_results():
+    taus = [0.0, 2e-6, 1e-5]
+    est = estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, point=4)
+    scans = scan(simulate_detectors(SRC, BENCH, 2e-3, 1e-7, seed=5, point=4), taus)
+    bits = lambda results: [(r.value.hex(), r.std_error.hex(), r.tau, r.n_samples) for r in results]
+    for got, want in zip((est.g2_cross, est.g2_self3, est.g2_self4), scans):
+        assert bits(got) == bits(want)
+
+
+def combined_by_formula(results):
+    """The repeat average of ``_combine``, spelled out for any count."""
+    r = len(results)
+    return (
+        sum(x.value for x in results) / r,
+        float(np.sqrt(sum(x.std_error ** 2 for x in results))) / r,
+        sum(x.n_samples for x in results),
+    )
+
+
+@pytest.mark.parametrize("std_error", [0.0, 2.0 ** -511, 1e-3, 0.7, 2.0 ** 512 * (1 - 2.0 ** -53)])
+def test_combine_of_one_repeat_is_the_formula(std_error):
+    one = CorrelationResult(value=1.25, tau=3e-7, n_samples=1000, std_error=std_error)
+    got = _combine((one,))
+    value, err, n_samples = combined_by_formula([one])
+    assert (got.value.hex(), got.std_error.hex(), got.n_samples, got.tau) == (value.hex(), err.hex(), n_samples, one.tau)
+
+
+def test_combine_of_one_repeat_keeps_an_error_whose_square_overflows():
+    one = CorrelationResult(value=1.25, tau=0.0, n_samples=1000, std_error=1e300)
+    with pytest.raises(OverflowError):
+        combined_by_formula([one])
+    assert _combine((one,)).std_error == 1e300
