@@ -3,14 +3,17 @@
 Source 1 enters right-circular, source 2 left-circular (the quarter-wave
 plates are baked into this assignment).  The recombining beam splitter
 contributes 1/sqrt(2) per port and a sign epsilon (+1 at detector 3, -1 at
-detector 4); each detector sits behind a linear polariser.  Per sample the
-detector field is
+detector 4); each detector sits behind a linear polariser.  ``amplitudes``
+states the whole bench as one 2x2 table, ``A[a, j]`` the amplitude of
+source ``j`` at detector ``a``:
 
-    E_i = (1/sqrt(2)) P_i (eps_i P_L E2 u_i2  +  P_R E1 u_i1)
+    E_a = sum_j A[a, j] E_j,   A[a, 1] = e^{i phi_a} / 2,
+    A[a, 2] = eps_a sqrt(balance) e^{-i phi_a} e^{i phi_d delta_a3} / 2
 
-with u_i1 = 1 and u_i2 = e^{i phi_d} (the arm-2 propagation factor carries
-the dynamical phase), and the recorded intensity is |E_i|^2 summed over the
-two polarization components.
+The dynamical phase ``phi_d`` rides the S2 -> D3 path only, so the loop
+S1 -> D3, S2 -> D3, S2 -> D4, S1 -> D4 closed by the cross correlation
+carries it and no self correlation sees it.  ``propagate`` and
+``oracle.term_audit`` both read this table.
 
 Detector traces, like source traces, are stored as runs of equal samples
 and built only from them, as ``DetectorTraces(dt, n, starts, values)``:
@@ -94,31 +97,42 @@ def detector_column(which: int) -> int:
     return which - 3
 
 
+def amplitudes(config: BenchConfig) -> np.ndarray:
+    """The bench as a 2x2 complex table: ``A[a, j]`` is the amplitude of
+    source ``j + 1`` at detector ``a + 3``, so that E_a = sum_j A[a, j] E_j.
+
+    Each entry is the beam-splitter port factor 1/sqrt(2) times the overlap
+    <phi_a|R> = e^{i phi_a}/sqrt(2) or <phi_a|L> = e^{-i phi_a}/sqrt(2).
+    Source 2 also carries eps_a and sqrt(balance), and at detector 3 only
+    the dynamical phase e^{i phi_d}.
+    """
+    table = np.empty((2, 2), dtype=complex)
+    for row, (phi_a, eps_a) in enumerate(((config.phi3, EPSILON_3), (config.phi4, EPSILON_4))):
+        table[row] = 0.5 * np.exp(1j * phi_a), 0.5 * eps_a * math.sqrt(config.balance) * np.exp(-1j * phi_a)
+    table[0, 1] *= np.exp(1j * config.phi_d)
+    return table
+
+
 def propagate(
     e1: FieldTrace,
     e2: FieldTrace,
     config: BenchConfig,
 ) -> DetectorTraces:
-    """Push two source traces through the bench.
+    """Push two source traces through the bench of ``amplitudes(config)``.
 
     The intensities are computed once per run of the union of both traces'
     runs, over which neither input field changes, bitwise equal to
-    computing them sample by sample.  ``config.balance`` scales the
-    source-2 intensity before the bench so that <I2>/<I1> = balance for
-    equal-amplitude inputs.
+    computing them sample by sample.
     """
     if e1.dt != e2.dt:
         raise IncompatibleTracesError(f"dt mismatch: {e1.dt!r} vs {e2.dt!r}")
     if e1.n != e2.n:
         raise IncompatibleTracesError(f"length mismatch: {e1.n} vs {e2.n}")
     starts, (run1, run2) = merge_starts(e1.starts, e2.starts)
-    f1 = e1.values[run1]
-    f2 = e2.values[run2] * (math.sqrt(config.balance) * np.exp(1j * config.phi_d))
+    f1, f2 = e1.values[run1], e2.values[run2]
     values = np.empty((len(starts), 2))
-    for col, (phi_i, eps_i) in enumerate(((config.phi3, EPSILON_3), (config.phi4, EPSILON_4))):
-        # E_i = (1/sqrt(2)) <phi_i|v> |phi_i> with v = eps*f2|L> + f1|R>;
-        # the R/L components of |phi_i> are e^{-+i phi_i}/sqrt(2).
-        amp = 0.5 * (eps_i * f2 * np.exp(-1j * phi_i) + f1 * np.exp(1j * phi_i))
+    for col, (a1, a2) in enumerate(amplitudes(config)):
+        amp = f1 * a1 + f2 * a2
         values[:, col] = amp.real ** 2 + amp.imag ** 2
     return DetectorTraces(e1.dt, e1.n, starts, values)
 

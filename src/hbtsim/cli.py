@@ -352,10 +352,10 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
 
 def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:
     rows = []
+    oracle_self = predict_g2_self(cfg.bench.balance)
     for pt in points:
         omega = solid_angle_of_setup(cfg.bench.phi3, cfg.bench.phi3 + pt.phi34)
         oracle_cross = predict_g2_cross(cfg.bench.phi_d, omega, cfg.bench.balance)
-        oracle_self = predict_g2_self(cfg.bench.phi_d, cfg.bench.balance)
         scans = [getattr(pt, f"g2_{kind}") for kind in SCAN_KINDS]
         for it, tau in enumerate(pt.taus):
             cells = _g2_cells(tau, [scan[it] for scan in scans], pt.i3_mean, pt.i4_mean)
@@ -402,7 +402,7 @@ def predict_report(phi3: float, phi4: float, phi_d: float) -> str:
         f"omega   = {omega:.9g} sr   (solid angle of the R-4-L-3 polariser loop)",
         f"phi_g   = {omega / 2.0:.9g} rad  (geometric phase, omega/2)",
         f"g2_cross(tau=0) = {predict_g2_cross(phi_d, omega):.9g}",
-        f"g2_self(tau=0)  = {predict_g2_self(phi_d):.9g}",
+        f"g2_self(tau=0)  = {predict_g2_self():.9g}",
         "mean intensity  = 0.25 * (<I1> + <I2>) at each detector",
         "",
         "term audit (16 terms; * marks survivors):",

@@ -7,13 +7,13 @@ the visibility V = 4b/(1+b)^2 of the intensity ratio b = <I2>/<I1>
 (``bench.balance``; V = 1 for equal intensities):
 
     g2_cross(0) = 1 - V cos(phi_d + omega/2) / 2     (fringe, 1 -+ V/2)
-    g2_self(0)  = 1 + V cos(phi_d) / 2               (no omega: the single-
-                                                      detector loop R-4-L-4
-                                                      encloses nothing)
+    g2_self(0)  = 1 + V / 2                          (no loop: a static phase
+                                                      cancels in <I_i I_i>)
     <I_i>       = (<I1> + <I2>) / 4
 
 ``term_audit`` expands the 16-term product behind the cross correlation and
-evaluates every coefficient numerically from 2x2 projector matrix elements:
+evaluates every coefficient from ``bench.amplitudes``, the table that
+``bench.propagate`` reads and that books ``phi_d`` on the S2 -> D3 path:
 10 terms average to zero, four direct terms contribute 1/4 each, and the
 two geometric terms carry the phase +-(phi_d + omega/2).
 """
@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
-from .bench import EPSILON_3, EPSILON_4
-from .poincare import _wrap_pm_two_pi, linear_state, projector_of
+from .bench import EPSILON_3, EPSILON_4, BenchConfig, amplitudes
+from .poincare import _wrap_pm_two_pi
 
 
 def solid_angle_of_setup(phi3: float, phi4: float) -> float:
@@ -53,11 +54,9 @@ def predict_g2_cross(phi_d: float, omega: float, balance: float = 1.0) -> float:
     return 1.0 - 0.5 * visibility(balance) * math.cos(phi_d + 0.5 * omega)
 
 
-def predict_g2_self(phi_d: float, balance: float = 1.0) -> float:
-    """Zero-delay self correlation 1 + V cos(phi_d)/2; no geometric term."""
-    if not math.isfinite(phi_d):
-        raise ValueError("phi_d must be finite")
-    return 1.0 + 0.5 * visibility(balance) * math.cos(phi_d)
+def predict_g2_self(balance: float = 1.0) -> float:
+    """Zero-delay self correlation 1 + V/2: no loop, so no phase term."""
+    return 1.0 + 0.5 * visibility(balance)
 
 
 def predict_intensity(i1_mean: float, i2_mean: float) -> float:
@@ -93,53 +92,29 @@ class AuditTerm:
 def term_audit(phi3: float, phi4: float, phi_d: float = 0.0) -> list[AuditTerm]:
     """Expand <I3 I4> into its 16 terms and evaluate each coefficient.
 
-    Coefficients are normalized by <I3><I4>, so the survivor sum equals the
-    predicted zero-delay cross correlation.  Sources are taken mutually
-    phase-incoherent with unit intensity: a term survives time averaging
-    only when each source field appears in a conjugate pair.  The dynamical
-    phase is booked on the detector-3 arm-2 propagation factor so that the
-    closed two-detector loop carries e^{i phi_d}.  Each surviving
-    coefficient is a product of two projector matrix elements in the
-    helicity basis (equivalently a trace over a projector chain, e.g.
-    P_R P3 P_L P4 for the geometric pair).
+    Sources are taken mutually phase-incoherent with unit intensity: a term
+    survives time averaging only when each source field appears in a
+    conjugate pair.  A surviving coefficient is
+    conj(A3j) A3k conj(A4l) A4m / (<I3><I4>) with ``A = bench.amplitudes``
+    at balance 1 and <I_a> = sum_j |A_aj|^2, so the survivor sum equals the
+    predicted zero-delay cross correlation.  The dynamical phase is booked
+    where ``A`` books it, on the S2 -> D3 path, so the closed two-detector
+    loop carries e^{i phi_d}.
     """
-    if not (math.isfinite(phi3) and math.isfinite(phi4) and math.isfinite(phi_d)):
-        raise ValueError("angles must be finite")
-    p3 = projector_of(linear_state(phi3)).matrix
-    p4 = projector_of(linear_state(phi4)).matrix
-    # Per-source coefficients multiplying the projected fields: index 1 is
-    # the R-polarized source (u = 1), index 2 the L-polarized source with
-    # its epsilon sign and arm-2 phase factor.
-    c3 = {1: 1.0 + 0.0j, 2: EPSILON_3 * complex(math.cos(phi_d), math.sin(phi_d))}
-    c4 = {1: 1.0 + 0.0j, 2: EPSILON_4 + 0.0j}
+    a3, a4 = amplitudes(BenchConfig(phi3, phi4, phi_d)).tolist()
+    norm = sum(abs(a) ** 2 for a in a3) * sum(abs(a) ** 2 for a in a4)
     terms = []
-    for j in (1, 2):
-        for k in (1, 2):
-            for l in (1, 2):
-                for m in (1, 2):
-                    label = f"D3:E{j}*E{k} D4:E{l}*E{m}"
-                    survives = (k == 1) + (m == 1) == (j == 1) + (l == 1)
-                    sign = int(EPSILON_3 ** ((j == 2) + (k == 2)) * EPSILON_4 ** ((l == 2) + (m == 2)))
-                    if not survives:
-                        terms.append(
-                            AuditTerm(label, (j, k), (l, m), "vanishing", sign, 0.0, 0.0, 0j)
-                        )
-                        continue
-                    value = (
-                        c3[j].conjugate() * c3[k] * c4[l].conjugate() * c4[m]
-                        * p3[j - 1, k - 1] * p4[l - 1, m - 1]
-                    )
-                    if j == k and l == m:
-                        kind = "direct"
-                    else:
-                        kind = "geometric"
-                    rotated = value * sign
-                    terms.append(
-                        AuditTerm(
-                            label, (j, k), (l, m), kind, sign,
-                            abs(value), math.atan2(rotated.imag, rotated.real), value,
-                        )
-                    )
+    for j, k, l, m in product((1, 2), repeat=4):
+        label = f"D3:E{j}*E{k} D4:E{l}*E{m}"
+        sign = int(EPSILON_3 ** ((j == 2) + (k == 2)) * EPSILON_4 ** ((l == 2) + (m == 2)))
+        if (k == 1) + (m == 1) != (j == 1) + (l == 1):
+            terms.append(AuditTerm(label, (j, k), (l, m), "vanishing", sign, 0.0, 0.0, 0j))
+            continue
+        value = a3[j - 1].conjugate() * a3[k - 1] * a4[l - 1].conjugate() * a4[m - 1] / norm
+        kind = "direct" if j == k and l == m else "geometric"
+        rotated = value * sign
+        phase = math.atan2(rotated.imag, rotated.real)
+        terms.append(AuditTerm(label, (j, k), (l, m), kind, sign, abs(value), phase, value))
     return terms
 
 

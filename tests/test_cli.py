@@ -31,6 +31,7 @@ from hbtsim.cli import (
 )
 from hbtsim.correlate import SCAN_KINDS, g2_cross
 from hbtsim.errors import ConfigError
+from hbtsim.oracle import predict_g2_cross, solid_angle_of_setup
 from hbtsim.pipeline import simulate_detectors
 
 SMALL_CFG = """
@@ -509,13 +510,19 @@ def test_analyze_round_trip_matches_pipeline_bitwise(tmp_path, small_cfg_path):
 # are those of the batch errors taken from one window-centred product per
 # kind; that moved 19 and 31 of the 99 cells from the batch-centred
 # products, by at most 8.5e-16 relative (the per-segment sums had moved
-# them within 1e-15 of the per-sample sums before).
+# them within 1e-15 of the per-sample sums before).  The "unbalanced" pair
+# moved when the bench became one amplitude table (``bench.amplitudes``):
+# phi_d now rides the S2 -> D3 path only, where it used to cancel around the
+# loop, and at balance != 1 the product sqrt(b) e^{-i phi} is rounded in a
+# new order (at phi_d = 0, b = 0.5 and phi34 = 0.7 rad, 952 of the 7426 run
+# values of a 2e-2 s record moved, by at most 1.5e-15 relative; at b = 1 and
+# b = 4 none moved).
 GOLDEN_DIGESTS = {
     "default": ("", "92fc70970583f3597ebdffec49b4e24a0105b5ca300aaf653de66a439121fbbc",
                 "e60bac01024579f5484fb01da8f109b8873f350b6cad11cda20022223fa4580b"),
     "unbalanced": ("bench.balance = 0.5\nbench.phi_d = 30 deg\n",
-                   "3daf4d19ab83cdc1ca527673532c46219eab2621f648d85f9c91951c23d01d65",
-                   "a930cd08123cd2f062c34d08e500212668ae979d58478c0233c1fb1670dd910c"),
+                   "b58a6ea0b9a043077eb1cf2baef28c8dc25678b6b531e0ad9a84fb0d013532b2",
+                   "1ea8b845199e2ce5329cc59b7e356694eddcef68342da1056d2feb8171286304"),
 }
 
 
@@ -793,6 +800,13 @@ def test_predict_report(capsys):
     assert "g2_self(tau=0)  = 1.5" in out
     assert "10 of 16 terms vanish" in out
     assert out.count(" geometric ") == 2
+    # at a dynamical phase only the cross line moves, and the audit follows it
+    assert main(["predict", "--phi3", "0", "--phi4", "30 deg", "--phi-d", "90 deg"]) == 0
+    lines = dict(line.split(" = ", 1) for line in capsys.readouterr().out.splitlines() if " = " in line)
+    assert lines["g2_self(tau=0) "] == "1.5"
+    cross = predict_g2_cross(math.pi / 2, solid_angle_of_setup(0.0, math.radians(30)))
+    assert lines["g2_cross(tau=0)"] == f"{cross:.9g}"
+    assert f"{float(lines['survivor sum']):.9g}" == lines["g2_cross(tau=0)"]
 
 
 def test_predict_degenerate_lune(capsys):

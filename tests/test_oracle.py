@@ -62,8 +62,13 @@ def test_predict_cross_examples():
 
 
 def test_predict_self_examples():
-    assert predict_g2_self(0.0) == pytest.approx(1.5, abs=1e-15)
-    assert predict_g2_self(math.pi / 2) == pytest.approx(1.0, abs=1e-12)
+    # 1 + V/2 with V = 4b/(1+b)^2; no phase enters a self correlation
+    assert predict_g2_self() == 1.5
+    assert predict_g2_self(1.0) == 1.5
+    assert predict_g2_self(4.0) == pytest.approx(1.32, abs=1e-15)
+    assert predict_g2_self(0.25) == pytest.approx(1.32, abs=1e-15)
+    with pytest.raises(ValueError):
+        predict_g2_self(0.0)
 
 
 def test_predict_intensity():
@@ -77,8 +82,9 @@ def test_predict_intensity():
 
 
 def test_predictions_stay_in_band():
+    for balance in np.geomspace(1e-3, 1e3, 29):
+        assert 1.0 <= predict_g2_self(balance) <= 1.5
     for phi_d in np.linspace(-7, 7, 29):
-        assert 0.5 <= predict_g2_self(phi_d) <= 1.5
         for omega in np.linspace(-2 * math.pi, 2 * math.pi, 29):
             assert 0.5 <= predict_g2_cross(phi_d, omega) <= 1.5
 
@@ -89,14 +95,6 @@ def test_fringe_is_pi_periodic_in_polariser_angle():
         a = predict_g2_cross(0.0, solid_angle_of_setup(0.0, phi))
         b = predict_g2_cross(0.0, solid_angle_of_setup(0.0, phi + math.pi))
         assert abs(a - b) < 1e-12
-
-
-def test_cross_plus_self_is_two_at_zero_solid_angle():
-    # the beam-splitter sign flip: fringes move oppositely at the two outputs
-    for phi_d in np.linspace(-7, 7, 41):
-        assert predict_g2_cross(phi_d, 0.0) + predict_g2_self(phi_d) == pytest.approx(
-            2.0, abs=1e-12
-        )
 
 
 def test_audit_counts_and_exact_zeros():
