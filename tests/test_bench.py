@@ -13,7 +13,7 @@ from hbtsim.bench import (
     propagate,
     save_detector_traces,
 )
-from hbtsim.correlate import SCAN_KINDS, scan
+from hbtsim.correlate import SCAN_KINDS, g2_self, scan
 from hbtsim.csvutil import IO_BLOCK, write_csv
 from hbtsim.errors import IncompatibleTracesError, TraceFormatError
 from hbtsim.oracle import predict_g2_cross, predict_g2_self, predict_intensity, solid_angle_of_setup
@@ -224,6 +224,23 @@ def test_amplitudes_are_the_projector_elements():
             c = np.array([1.0, eps * math.sqrt(cfg.balance) * u])
             expected = proj * np.outer(c.conj(), c)
             assert np.max(np.abs(2 * np.outer(table[a].conj(), table[a]) - expected)) < 1e-12
+
+
+def test_static_arm_phase_invisible_at_zero_delay():
+    # phi_d rides the S2 -> D3 path only: it moves per-sample intensities at
+    # detector 3 and the cross fringe, but no self correlation and no mean
+    # intensity, and detector 4 does not see it at all.
+    cfg0 = BenchConfig(phi3=0.0, phi4=0.6)
+    cfg1 = BenchConfig(phi3=0.0, phi4=0.6, phi_d=1.1)
+    base = simulate_detectors(SRC, cfg0, 2e-2, 1e-7, seed=31)
+    shifted = simulate_detectors(SRC, cfg1, 2e-2, 1e-7, seed=31)
+    assert np.array_equal(base.i4, shifted.i4)
+    assert not np.array_equal(base.i3, shifted.i3)
+    a = g2_self(base, 3, 0.0)
+    b = g2_self(shifted, 3, 0.0)
+    assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
+    for which in (3, 4):
+        assert abs(mean_intensity(base, which) - mean_intensity(shifted, which)) < 0.03
 
 
 def test_every_kind_agrees_with_oracle_at_random_phases():

@@ -97,6 +97,17 @@ def test_fringe_is_pi_periodic_in_polariser_angle():
         assert abs(a - b) < 1e-12
 
 
+def test_cross_plus_self_is_two_at_zero_solid_angle():
+    # the beam-splitter sign flip: where phi_d + omega/2 is a whole number of
+    # turns the cross fringe sits at 1 - V/2, opposite the self value 1 + V/2
+    for balance in (0.25, 1.0, 4.0):
+        for turns in range(-3, 4):
+            phi_d = 2 * math.pi * turns
+            assert predict_g2_cross(phi_d, 0.0, balance) + predict_g2_self(balance) == pytest.approx(
+                2.0, abs=1e-12
+            )
+
+
 def test_audit_counts_and_exact_zeros():
     rng = np.random.default_rng(17)
     for _ in range(50):
