@@ -17,12 +17,13 @@ carries it and no self correlation sees it.  ``propagate`` and
 
 Detector traces, like source traces, are stored as runs of equal samples
 and built only from them, as ``DetectorTraces(dt, n, starts, values)``:
-``propagate`` evaluates the bench once per run of the union of both
-sources' runs, the CSV writer formats each run's line once and writes it
-repeated in blocks of about ``csvutil.IO_BLOCK`` (64 KiB), the reader
-counts each run's equal lines in C and parses them once, the estimators
-sum per segment of runs, and the per-sample ``i3``/``i4`` are built only
-when they are read.
+``propagate`` weights each source's field by its amplitudes once per run
+of that source, then sums and squares the weighted fields once per run of
+the union of both sources' runs, the CSV writer formats each run's line
+once and writes it repeated in blocks of about ``csvutil.IO_BLOCK``
+(64 KiB), the reader counts each run's equal lines in C and parses them
+once, the estimators sum per segment of runs, and the per-sample
+``i3``/``i4`` are built only when they are read.
 """
 
 from __future__ import annotations
@@ -74,9 +75,11 @@ class DetectorTraces(RunLengthRecord):
         values = np.array(values, dtype=float)
         if values.shape != (runs, 2):
             raise ValueError("expected one (i3, i4) pair per run")
-        if not np.all(np.isfinite(values)):
+        # A NaN carries through min and max and fails the finite test first.
+        lo, hi = values.min(), values.max()
+        if not (-math.inf < lo and hi < math.inf):
             raise ValueError("intensities must be finite")
-        if np.any(values < 0.0):
+        if lo < 0.0:
             raise ValueError("intensities must be nonnegative")
         return values
 
@@ -122,24 +125,28 @@ def propagate(
 
     The intensities are computed once per run of the union of both traces'
     runs, over which neither input field changes, bitwise equal to
-    computing them sample by sample.
+    computing them sample by sample.  Each product ``E_j A[a, j]`` is formed
+    once per run of source ``j`` and gathered to the union's runs, so no
+    gathered copy of a source field is held.
     """
     if e1.dt != e2.dt:
         raise IncompatibleTracesError(f"dt mismatch: {e1.dt!r} vs {e2.dt!r}")
     if e1.n != e2.n:
         raise IncompatibleTracesError(f"length mismatch: {e1.n} vs {e2.n}")
     starts, (run1, run2) = merge_starts(e1.starts, e2.starts)
-    f1, f2 = e1.values[run1], e2.values[run2]
     values = np.empty((len(starts), 2))
     for col, (a1, a2) in enumerate(amplitudes(config)):
-        amp = f1 * a1 + f2 * a2
-        values[:, col] = amp.real ** 2 + amp.imag ** 2
+        amp = (e1.values * a1)[run1]
+        amp += (e2.values * a2)[run2]
+        intensity = values[:, col]
+        np.square(amp.real, out=intensity)
+        intensity += np.square(amp.imag, out=amp.imag)
     return DetectorTraces(e1.dt, e1.n, starts, values)
 
 
 def mean_intensity(traces: DetectorTraces, which: int) -> float:
     """Time-averaged intensity at detector 3 or 4, summed run by run."""
-    return float(np.sum(traces.counts * traces.values[:, detector_column(which)]) / traces.n)
+    return float((traces.counts * traces.values[:, detector_column(which)]).sum() / traces.n)
 
 
 # --- CSV export/import: "# dt=<seconds>" header, then "i3,i4" rows ---------

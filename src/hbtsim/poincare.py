@@ -9,7 +9,7 @@ computed here by independent routes:
 
 * ``pancharatnam_phase``  -- minus the argument of the cyclic product of
   state overlaps (gauge invariant);
-* ``polygon_solid_angle`` -- interior-angle excess of the geodesic polygon.
+* ``polygon_solid_angle`` -- a fan of signed geodesic triangles.
 
 The orientation convention is fixed so the polariser loop R -> 4 -> L -> 3
 has solid angle +4*(phi4 - phi3) (mod 4*pi), i.e. exactly twice its
@@ -19,6 +19,7 @@ Pancharatnam phase.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -188,24 +189,24 @@ def pancharatnam_phase(states: Sequence[PolarizationState]) -> float:
     return _wrap_pm_pi(-total)
 
 
-def _tangent_towards(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit tangent at v along the shorter great-circle arc towards w."""
-    t = w - np.dot(v, w) * v
-    return t / np.linalg.norm(t)
-
-
 def polygon_solid_angle(vertices: Sequence[SpherePoint]) -> float:
     """Signed solid angle of a closed geodesic polygon, in (-2*pi, 2*pi].
 
     Edges follow the shorter great-circle arc between consecutive vertices
-    (closing last -> first); the magnitude is the interior-angle excess
-    sum(interior) - (n-2)*pi of the enclosed region.  The sign convention is
-    the one under which the polariser loop north -> equator(2*phi4) -> south
-    -> equator(2*phi3) measures +4*(phi4 - phi3) (mod 4*pi), i.e. twice the
-    Pancharatnam phase of the matching state loop; loops that run
-    counterclockwise seen from outside the sphere come out negative.
-    Reversing the vertex order negates the result (except exactly at the
-    |Omega| = 2*pi boundary, where the two orientations coincide mod 4*pi).
+    (closing last -> first).  The result is the area the loop encloses, each
+    region counted as often as the loop winds around it (mod 4*pi), so a
+    self-intersecting loop is measured as well as a simple one.  It is the
+    sum of a fan of signed geodesic triangles (apex, v_k, v_k+1), each
+    2 * atan2(a . (b x c), 1 + a . b + b . c + c . a) (Van Oosterom and
+    Strackee, IEEE Trans. Biomed. Eng. 30, 125, 1983), from an apex
+    antipodal to no vertex, where every triangle is defined.  The sign
+    convention is the one under which the polariser loop north ->
+    equator(2*phi4) -> south -> equator(2*phi3) measures +4*(phi4 - phi3)
+    (mod 4*pi), i.e. twice the Pancharatnam phase of the matching state
+    loop; loops that run counterclockwise seen from outside the sphere come
+    out negative.  Reversing the vertex order negates the result (except
+    exactly at the |Omega| = 2*pi boundary, where the two orientations
+    coincide mod 4*pi).
 
     Consecutive vertices that are identical or antipodal (within 1e-9) leave
     the edge undefined and raise DegenerateGeodesicError.
@@ -213,22 +214,29 @@ def polygon_solid_angle(vertices: Sequence[SpherePoint]) -> float:
     n = len(vertices)
     if n < 3:
         raise ValueError("a polygon needs at least 3 vertices")
-    vs = []
-    for p in vertices:
-        v = p.as_array()
-        vs.append(v / np.linalg.norm(v))
+    vs = np.array([p.as_array() for p in vertices])
+    vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+    nxt = np.roll(vs, -1, axis=0)
     for k in range(n):
-        a, b = vs[k], vs[(k + 1) % n]
+        a, b = vs[k], nxt[k]
         if np.linalg.norm(a - b) < _DEGENERATE_TOL:
             raise DegenerateGeodesicError(f"vertices {k} and {(k + 1) % n} coincide")
         if np.linalg.norm(a + b) < _DEGENERATE_TOL:
             raise DegenerateGeodesicError(f"vertices {k} and {(k + 1) % n} are antipodal")
-    turning = 0.0
-    for k in range(n):
-        prev_v, v, next_v = vs[k - 1], vs[k], vs[(k + 1) % n]
-        d_in = -_tangent_towards(v, prev_v)  # direction of travel arriving at v
-        d_out = _tangent_towards(v, next_v)
-        turning += math.atan2(np.dot(np.cross(d_in, d_out), v), np.dot(d_in, d_out))
-    # Gauss-Bonnet: sum of turning angles = 2*pi - (area to the left of travel);
-    # our positive orientation is the opposite (area to the right).
-    return _wrap_pm_two_pi(turning - _TWO_PI)
+    # The apex is the one of the 6 face and 8 corner directions of a cube
+    # farthest from every vertex's antipode.  They are at least 54.7 degrees
+    # apart, so an antipode lies within 27.3 degrees of at most one of them,
+    # and for up to 13 vertices the apex is at least that far from each.
+    # Built per call: at import the table would add to the resident memory
+    # of every process that loads the package.
+    apexes = np.vstack([
+        np.eye(3),
+        -np.eye(3),
+        np.array(list(itertools.product((-1.0, 1.0), repeat=3))) / math.sqrt(3.0),
+    ])
+    apex = apexes[(apexes @ vs.T).min(axis=1).argmax()]
+    to_apex = vs @ apex
+    triple = np.cross(vs, nxt) @ apex
+    cosine = 1.0 + to_apex + (vs * nxt).sum(axis=1) + np.roll(to_apex, -1)
+    # The triangles' sign is the opposite of this module's orientation.
+    return _wrap_pm_two_pi(-2.0 * float(np.arctan2(triple, cosine).sum()))

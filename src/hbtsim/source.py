@@ -8,9 +8,11 @@ field is lost on the scale t_c while every dwell resolves the sample grid.
 The instantaneous intensity |E|^2 never fluctuates: all the noise is in the
 phase.  Because the field is constant between jumps, a trace is stored and
 built as its runs of equal samples, ``FieldTrace(dt, n, starts, values)``:
-``generate_trace`` evaluates the field once per phase level it keeps, and
-the per-sample array is built only when ``FieldTrace.samples`` is first
-read, bitwise equal to evaluating the field at every sample.
+``phase_jump_process`` draws the dwells and jumps in whole arrays,
+``generate_trace`` places every jump on the sample grid at once and
+evaluates the field once per phase level it keeps, and the per-sample
+array is built only when ``FieldTrace.samples`` is first read, bitwise
+equal to evaluating the field at every sample.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class RunLengthRecord:
             raise ValueError("a record needs at least one sample")
         starts = np.array(starts, dtype=np.intp)
         if not (starts.ndim == 1 and starts.size and starts[0] == 0 and starts[-1] < n
-                and np.all(starts[1:] > starts[:-1])):
+                and (starts[1:] > starts[:-1]).all()):
             raise ValueError("runs must start at sample 0, then at increasing samples below n")
         values = self._checked_values(values, len(starts))
         starts.flags.writeable = False
@@ -117,7 +119,11 @@ class RunLengthRecord:
     @property
     def counts(self) -> np.ndarray:
         """The number of samples in each run."""
-        return np.diff(self.starts, append=self.n)
+        starts = self.starts
+        counts = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+        counts[-1] = self.n - starts[-1]
+        return counts
 
     def _expand(self, values: np.ndarray) -> np.ndarray:
         """Per-sample, read-only: each run's value repeated over its run."""
@@ -135,7 +141,7 @@ class FieldTrace(RunLengthRecord):
         values = np.array(values, dtype=complex)
         if values.shape != (runs,):
             raise ValueError("expected one field value per run")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ValueError("samples must be finite")
         return values
 
@@ -153,12 +159,13 @@ def sample_dwell(config: PhaseNoiseConfig, u):
     or arrays.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < 0.0) or np.any(u_arr >= 1.0) or not np.all(np.isfinite(u_arr)):
+    # min and max carry a NaN through, and then both comparisons fail.
+    if u_arr.size and not (u_arr.min() >= 0.0 and u_arr.max() < 1.0):
         raise ValueError("u must lie in [0, 1)")
     lo = math.exp(-config.t_min / config.t_c)
     hi = math.exp(-config.t_max / config.t_c)
     t = -config.t_c * np.log(lo - u_arr * (lo - hi))
-    t = np.clip(t, config.t_min, config.t_max)  # guard endpoint rounding
+    t = t.clip(config.t_min, config.t_max)  # guard endpoint rounding
     return float(t) if np.isscalar(u) or u_arr.ndim == 0 else t
 
 
@@ -188,16 +195,21 @@ def phase_jump_process(
     mean_dwell = truncated_dwell_mean(config)
     chunk = int(duration / mean_dwell * 1.25) + 16
     dwells = sample_dwell(config, rng.random(chunk))
-    total = float(np.sum(dwells))
+    total = float(dwells.sum())
     while total < duration:
         extra = sample_dwell(config, rng.random(chunk // 2 + 16))
         dwells = np.concatenate([dwells, extra])
-        total += float(np.sum(extra))
-    jump_times = np.cumsum(dwells)
-    jump_times = jump_times[jump_times <= duration]
+        total += float(extra.sum())
+    # The sums of positive dwells never decrease: the jumps in (0, duration]
+    # are a prefix.
+    jump_times = dwells.cumsum()
+    jump_times = jump_times[:jump_times.searchsorted(duration, "right")]
     theta0 = 2.0 * math.pi * rng.random()
     deltas = 2.0 * math.pi * rng.random(len(jump_times))
-    levels = theta0 + np.concatenate([[0.0], np.cumsum(deltas)])
+    levels = np.empty(len(jump_times) + 1)
+    levels[0] = 0.0
+    deltas.cumsum(out=levels[1:])
+    levels += theta0
     return jump_times, levels
 
 
@@ -232,12 +244,17 @@ def generate_trace(
     # i (or at n if there is none).  The quotient may round across an
     # integer, so step k until it is the least with k * dt >= jump_time as
     # floats, the instants a per-sample grid would hold.
-    k = np.ceil(jump_times / dt)
-    while np.any(early := k * dt < jump_times):
+    k = jump_times / dt
+    np.ceil(k, out=k)
+    while (early := k * dt < jump_times).any():
         k += early
-    while np.any(late := (k - 1.0) * dt >= jump_times):
+    while (late := (k - 1.0) * dt >= jump_times).any():
         k -= late
-    starts = np.concatenate(([0], np.minimum(k, n).astype(np.intp)))
+    starts = np.empty(len(k) + 1, dtype=np.intp)
+    starts[0] = 0
+    starts[1:] = np.minimum(k, n, out=k)
     # A level whose next jump comes before its first sample holds none.
-    kept = np.diff(starts, append=n) > 0
+    kept = np.empty(len(starts), dtype=bool)
+    np.greater(starts[1:], starts[:-1], out=kept[:-1])
+    kept[-1] = n > starts[-1]
     return FieldTrace(dt, n, starts[kept], config.amplitude * np.exp(1j * levels[kept]))

@@ -190,6 +190,21 @@ def test_propagate_is_bitwise_the_per_sample_bench(pair, cfg):
     assert out.i4.tobytes() == i4.tobytes()
 
 
+def test_propagate_peaks_below_a_hundred_bytes_per_run():
+    # Between the 136 B per run of gathering both source fields before
+    # weighting them and the 81 B of weighting them first.
+    e1, e2 = source_pair(SRC, 2e-2, 1e-7, 7)
+    run = lambda: propagate(e1, e2, BenchConfig(phi3=0.0, phi4=0.5 * math.pi))
+    runs = len(run().starts)  # one-time allocations
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * runs
+
+
 def test_mean_intensity_basics():
     tr = DetectorTraces(1.0, 8, [0], [[0.3, 0.9]])
     assert mean_intensity(tr, 3) == pytest.approx(0.3, abs=1e-15)
@@ -485,7 +500,8 @@ def test_detector_traces_validation():
     (math.nan, "intensities must be finite"),
     (math.inf, "intensities must be finite"),
     (-0.5, "intensities must be nonnegative"),
-], ids=["nan", "inf", "negative"])
+    (-math.inf, "intensities must be finite"),
+], ids=["nan", "inf", "negative", "negative_inf"])
 def test_detector_traces_check_run_values(bad, message):
     good = np.full(6, 0.5)
     for column in (0, 1):
@@ -497,6 +513,13 @@ def test_detector_traces_check_run_values(bad, message):
         pairs[1, column] = bad
         with pytest.raises(ValueError, match=f"^{message}$"):
             DetectorTraces(1e-7, 6, [0, 2, 4], pairs)
+
+
+def test_detector_traces_report_nan_before_negative():
+    # A record with both faults reads "finite", wherever each one sits.
+    for pairs in ([[-0.5, 0.5], [0.5, math.nan]], [[math.nan, 0.5], [0.5, -0.5]], [[-0.5, math.nan], [0.5, 0.5]]):
+        with pytest.raises(ValueError, match="^intensities must be finite$"):
+            DetectorTraces(1e-7, 4, [0, 2], pairs)
 
 
 @pytest.mark.parametrize("starts, n", [([], 4), ([1, 2], 4), ([0, 2, 2], 4), ([0, 3, 1], 4), ([0, 4], 4), ([0], 0)],

@@ -253,6 +253,15 @@ def test_polygon_lune_identity_100_pairs():
         assert wrap_diff(omega, 4.0 * (phi4 - phi3), 4 * math.pi) < 1e-9
 
 
+def test_polygon_is_twice_the_phase_of_random_quadrilaterals():
+    # About a quarter of random four-state loops cross themselves.
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        states = [random_state(rng) for _ in range(4)]
+        omega = polygon_solid_angle([to_sphere(s) for s in states])
+        assert wrap_diff(omega, 2.0 * pancharatnam_phase(states), 4 * math.pi) < 1e-9
+
+
 def test_polygon_reversal_negates():
     rng = np.random.default_rng(67)
     for _ in range(100):

@@ -64,8 +64,12 @@ def test_sample_dwell_rejects_bad_u():
     for bad in (-0.1, 1.0, 1.5, math.nan):
         with pytest.raises(ValueError):
             sample_dwell(CFG, bad)
-    with pytest.raises(ValueError):
-        sample_dwell(CFG, np.array([0.2, 1.0]))
+    for bad in (1.0, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\)$"):
+            sample_dwell(CFG, np.array([0.2, bad, 0.5]))
+    assert sample_dwell(CFG, -0.0) == CFG.t_min
+    empty = sample_dwell(CFG, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
 
 
 def test_sample_dwell_monotone_in_u():
@@ -285,6 +289,19 @@ def test_field_trace_from_samples_and_from_runs_agree(samples, starts):
         assert len(record) == len(samples)
     assert not trace.samples.flags.writeable and not trace.starts.flags.writeable
     assert not trace.values.flags.writeable
+
+
+@pytest.mark.parametrize("n, starts", [
+    (5, [0]),
+    (5, np.arange(5)),
+    (200_000, None),
+], ids=["one_run", "per_sample", "simulated"])
+def test_counts_are_the_run_lengths(n, starts):
+    if starts is None:
+        trace = generate_trace(CFG, 2e-2, 1e-7, np.random.default_rng(11))
+    else:
+        trace = FieldTrace(1e-7, n, starts, np.ones(len(starts)))
+    assert trace.counts.tobytes() == np.diff(trace.starts, append=n).tobytes()
 
 
 def test_merge_starts_matches_searchsorted():
