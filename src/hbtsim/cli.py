@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import pickle
+import signal
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager, suppress
@@ -309,7 +311,10 @@ def sweep_grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     return phi34s, delay_grid(fields, cfg.sweep.tau_max, cfg.sweep.tau_steps, cfg.sim.dt, cfg.n_samples)
 
 
-def _sweep_point_job(job: tuple[RunConfig, int, float, tuple[float, ...]]) -> PointEstimates:
+Job = tuple[RunConfig, int, float, tuple[float, ...]]
+
+
+def _sweep_point_job(job: Job) -> PointEstimates:
     cfg, point, phi34, taus = job
     bench_cfg = replace(cfg.bench, phi4=cfg.bench.phi3 + phi34)
     return estimate_point(
@@ -319,8 +324,10 @@ def _sweep_point_job(job: tuple[RunConfig, int, float, tuple[float, ...]]) -> Po
 
 
 def pool_workers(requested: int, n_jobs: int, n_cpus: int | None) -> int:
-    """Worker processes to start: a fork pool starts all of them at the first
-    submit, so never more than there are jobs or CPUs."""
+    """Processes to run the sweep's shares in: never more than there are
+    jobs or CPUs, and one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
     return min(requested, n_jobs, n_cpus or 1)
 
 
@@ -332,22 +339,86 @@ def usable_cpus() -> int | None:
     return os.cpu_count()
 
 
+def _run_share(jobs: list[Job]) -> list[PointEstimates]:
+    return [_sweep_point_job(job) for job in jobs]
+
+
+def _fork_share(jobs: list[Job], children: dict[int, int]) -> int:
+    """Fork a child that runs ``jobs`` and pickles ``(ok, points or
+    exception)`` into a pipe; ``children`` maps its pid to the pipe's read
+    end until it is reaped.  The child never returns into the caller's
+    stack: it leaves through ``os._exit`` whatever happens."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, _run_share(jobs))
+            except BaseException as exc:
+                outcome = (False, exc)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    children[pid] = read_fd
+    os.close(write_fd)
+    return pid
+
+
+def _join_share(pid: int, children: dict[int, int], jobs: list[Job]) -> list[PointEstimates]:
+    """The points of the child ``pid``, read to the end of its pipe once it
+    is reaped; its exception re-raised."""
+    with open(children[pid], "rb", closefd=False) as pipe:
+        data = pipe.read()
+    status = os.waitpid(pid, 0)[1]
+    os.close(children.pop(pid))
+    try:
+        ok, value = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit code {code}"
+        raise ChildProcessError(
+            f"the sweep worker for points {jobs[0][1]}-{jobs[-1][1]} left no readable result ({how})"
+        ) from None
+    if not ok:
+        raise value
+    return value
+
+
 def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
-    """All sweep points, in grid order regardless of worker scheduling."""
+    """All sweep points, in grid order.  The jobs are cut into at most
+    ``workers`` contiguous shares (``pool_workers``): the caller runs the
+    first, and one forked child runs each other.  No child outlives the call: if anything raises, every child
+    not yet reaped is killed and reaped."""
     phi34s, taus = sweep_grids(cfg)
     jobs = [
         (cfg, i, float(phi34), tuple(float(t) for t in taus))
         for i, phi34 in enumerate(phi34s)
     ]
-    workers = pool_workers(workers, len(jobs), usable_cpus())
-    if workers > 1:
-        # Imported here, not at module level: the pool's modules would add
-        # a third to hbtsim's own import time for every other command.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point_job, jobs))
-    return [_sweep_point_job(job) for job in jobs]
+    n = pool_workers(workers, len(jobs), usable_cpus())
+    shares = [jobs[w * len(jobs) // n:(w + 1) * len(jobs) // n] for w in range(n)]
+    children: dict[int, int] = {}
+    try:
+        pids = [_fork_share(share, children) for share in shares[1:]]
+        points = _run_share(shares[0])
+        for pid, share in zip(pids, shares[1:]):
+            points += _join_share(pid, children, share)
+    finally:
+        for pid, read_fd in children.items():
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            os.close(read_fd)
+    return points
 
 
 def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:

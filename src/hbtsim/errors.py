@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 All inherit ValueError so callers may catch broadly; the CLI maps any
-ValueError to exit code 2 and OS-level failures to exit code 3.
+ValueError to exit code 2 and OS-level failures to exit code 3.  Each one
+survives pickling, as a sweep worker's exception must.
 """
 
 
@@ -31,7 +32,11 @@ class TraceFormatError(ValueError):
 
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number
+        self.message = message
         super().__init__(f"line {line_number}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line_number, self.message)
 
 
 class ConfigError(ValueError):
@@ -39,4 +44,8 @@ class ConfigError(ValueError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.field, self.message)

@@ -1,10 +1,11 @@
-import concurrent.futures
 import hashlib
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import hbtsim
+from hbtsim import cli
 from hbtsim.bench import DetectorTraces, load_detector_traces, save_detector_traces
 from hbtsim.cli import (
     BYTES_PER_DELAY,
@@ -30,7 +32,7 @@ from hbtsim.cli import (
     usable_cpus,
 )
 from hbtsim.correlate import SCAN_KINDS, g2_cross
-from hbtsim.errors import ConfigError
+from hbtsim.errors import ConfigError, InsufficientDataError
 from hbtsim.oracle import predict_g2_cross, solid_angle_of_setup
 from hbtsim.pipeline import simulate_detectors
 
@@ -406,12 +408,14 @@ def test_sweep_reruns_and_workers_byte_identical(tmp_path, small_cfg_path):
     assert outs[2].read_bytes() == blob
 
 
-def test_pool_workers_bounded_by_jobs_and_cpus():
+def test_pool_workers_bounded_by_jobs_and_cpus(monkeypatch):
     assert pool_workers(2, 13, 2) == 2
     assert pool_workers(10 ** 6, 13, 64) == 13
     assert pool_workers(10 ** 6, 13, 4) == 4
     assert pool_workers(8, 13, None) == 1
     assert pool_workers(1, 13, 8) == 1
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert pool_workers(8, 13, 8) == 1
 
 
 def test_usable_cpus_are_those_of_the_affinity_mask(monkeypatch):
@@ -426,29 +430,114 @@ def test_sweep_on_one_usable_cpu_runs_serially(tmp_path, small_cfg_path, monkeyp
     serial, pinned = tmp_path / "serial.csv", tmp_path / "pinned.csv"
     main(["sweep", "--config", str(small_cfg_path), "--out", str(serial)])
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+    def no_fork():
+        raise AssertionError("a sweep worker was forked")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     main(["sweep", "--config", str(small_cfg_path), "--workers", "4", "--out", str(pinned)])
     assert pinned.read_bytes() == serial.read_bytes()
 
 
-def test_import_and_config_load_no_process_pool(small_cfg_path):
-    # Only a parallel sweep needs the pool, so start-up must not pay for it.
+def test_import_and_config_load_no_process_pool(small_cfg_path, tmp_path):
+    # Start-up must not pay for a process pool, and a parallel sweep forks
+    # its workers without one.
     src = Path(hbtsim.__file__).parents[1]
-    probe = (
-        "import sys; sys.path.insert(0, sys.argv[1]);"
-        "import hbtsim.cli; hbtsim.cli.parse_config_file(sys.argv[2]);"
-        "print(*sorted(m for m in sys.modules if m.startswith(('concurrent.futures', 'multiprocessing'))))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-I", "-c", probe, str(src), str(small_cfg_path)],
-        capture_output=True, text=True, check=True,
-    )
-    assert done.stdout.split() == []
+    pool_modules = "print(*sorted(m for m in sys.modules if m.startswith(('concurrent.futures', 'multiprocessing'))))"
+    probes = [
+        "hbtsim.cli.parse_config_file(sys.argv[2])",
+        f"assert hbtsim.cli.main(['sweep', '--config', sys.argv[2], '--workers', '2', '--out', {str(tmp_path / 'w2.csv')!r}]) == 0",
+    ]
+    for probe in probes:
+        code = f"import sys; sys.path.insert(0, sys.argv[1]); import hbtsim.cli; {probe}; {pool_modules}"
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(src), str(small_cfg_path)],
+            capture_output=True, text=True, check=True,
+        )
+        assert done.stdout.split() == []
+
+
+@pytest.fixture()
+def parent_pid(monkeypatch):
+    """The test process's pid, with two usable CPUs, so that ``--workers 2``
+    forks one child whatever the host; the child runs the second share,
+    points 2-4 of the small config."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return os.getpid()
+
+
+@pytest.mark.parametrize(
+    "leave, how", [(lambda: os._exit(9), "exit code 9"), (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {signal.SIGKILL.value}")],
+    ids=["exit", "signal"],
+)
+def test_lost_sweep_worker_is_an_io_error(tmp_path, small_cfg_path, capsys, monkeypatch, parent_pid, leave, how):
+    job = cli._sweep_point_job
+
+    def lost_in_child(args):
+        if os.getpid() != parent_pid:
+            leave()
+        return job(args)
+
+    monkeypatch.setattr(cli, "_sweep_point_job", lost_in_child)
+    code = main(["sweep", "--config", str(small_cfg_path), "--workers", "2", "--out", str(tmp_path / "s.csv")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"hbt: i/o error: the sweep worker for points 2-4 left no readable result ({how})\n"
+
+
+@pytest.mark.parametrize("error", [InsufficientDataError("too few samples"), ConfigError("sim.dt", "too coarse")])
+def test_sweep_worker_error_is_that_of_the_serial_sweep(tmp_path, small_cfg_path, capsys, monkeypatch, parent_pid, error):
+    job = cli._sweep_point_job
+
+    def fails_at_the_last_point(args):
+        if args[1] == 4:
+            raise error
+        return job(args)
+
+    monkeypatch.setattr(cli, "_sweep_point_job", fails_at_the_last_point)
+    messages = []
+    for workers in ("1", "2"):
+        assert main(["sweep", "--config", str(small_cfg_path), "--workers", workers, "--out", str(tmp_path / "s.csv")]) == 2
+        messages.append(capsys.readouterr().err)
+    assert messages[1] == messages[0] == f"hbt: error: {error}\n"
+
+
+def test_failed_fork_is_an_io_error_that_leaves_no_child(tmp_path, small_cfg_path, capsys, monkeypatch):
+    fork, forks = os.fork, []
+
+    def fork_once():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "fork", fork_once)
+    open_fds = sorted(os.listdir("/proc/self/fd"))
+    code = main(["sweep", "--config", str(small_cfg_path), "--workers", "3", "--out", str(tmp_path / "s.csv")])
+    assert (code, capsys.readouterr().err) == (3, "hbt: i/o error: [Errno 11] Resource temporarily unavailable\n")
+    assert len(forks) == 2
+    assert sorted(os.listdir("/proc/self/fd")) == open_fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_no_sweep_worker_outlives_a_failed_sweep(small_cfg_path, monkeypatch, parent_pid, error):
+    def parent_fails_child_hangs(args):
+        if os.getpid() == parent_pid:
+            raise error()
+        time.sleep(20)
+        os._exit(0)
+
+    monkeypatch.setattr(cli, "_sweep_point_job", parent_fails_child_hangs)
+    t0 = time.monotonic()
+    with pytest.raises(error):
+        cli.run_sweep(parse_config_file(small_cfg_path), workers=2)
+    assert time.monotonic() - t0 < 10.0  # the child was killed, not awaited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_tracks_oracle(zero_delay_sweep, tmp_path):
