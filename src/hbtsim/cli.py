@@ -132,9 +132,9 @@ class RunConfig:
 
 
 # Lower bounds on the bytes per trace sample, sweep row and analyze delay:
-# tracemalloc at the default config measures 3.0-3.3 B per sample in every
+# tracemalloc at the default config measures 3.0-3.5 B per sample in every
 # command (runs, streamed CSVs), plus about 0.15 MB of CSV write blocks in
-# simulate, 1.6 kB per row and 0.69 kB per delay.
+# simulate, 1.8 kB per row and 1.3 kB per delay.
 BYTES_PER_SAMPLE = 2
 BYTES_PER_ROW = 1000
 BYTES_PER_DELAY = 500

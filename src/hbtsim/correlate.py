@@ -20,20 +20,29 @@ times, so serial correlation within a batch does not bias the error estimate
 much.
 
 All estimators sum per segment of runs, never per sample.  At lag k the
-window [0, n) is cut at the record's run starts, at the run starts shifted
-by -k and (for g2) at the batch bounds; over each segment both factors are
-constant, so every mean and centred product is a sum of segment length
-times value.  The cost is O(runs) in time and memory, the values agree
-with per-sample sums to rounding, and nothing is written into the record,
-so one record may be estimated from several threads at once.
+window [0, n) is cut at the record's run starts below n, at the run starts
+shifted by -k from the run that holds t = k on (its start moves to 0), and
+at the batch bounds j m (j <= n_batches) and n; over each segment both
+factors are constant, so every mean and centred product is a sum of
+segment length times value.  One ``merge_starts`` per lag finds the
+segments: a stable sort of the three lists, one running count that gives
+the run at t, and the run at t + k from each point's place in the sort
+less that count and less the bounds at or before the point, min(p // m,
+n_batches) + 1, which is arithmetic, not a count (at lag 0 the shifted
+starts are the starts, merged once, and nothing is counted).  The lengths
+are floats, converted once per lag, and the batches start where the
+bounds sit among the segments.  The cost is O(runs) in time and memory,
+the values agree with per-sample sums to rounding, and nothing is written
+into the record, so one record may be estimated from several threads at
+once.
 
-``scan`` is the one g2 kernel.  It merges the segments once per lag (at lag
-0 the shifted starts are the starts, so they are merged once) and shares
-them between the kinds it is asked for.  Each of the (at most four) factor
-columns, I3 and I4 at t and at t + k, is built once per lag with its window
-mean and batch means, and every kind that reads it reuses it.  Per kind
-there is one centred product, length (x - mx)(y - my); its batch sums, like
-a column's, are one ``np.add.reduceat`` over the time-ordered segments.
+``scan`` is the one g2 kernel.  It merges the segments once per lag and
+shares them between the kinds it is asked for.  Each of the (at most
+four) factor columns, I3 and I4 at t and at t + k, is built once per lag
+with its window mean and batch means, and every kind that reads it
+reuses it.  Per kind there is one centred product, length (x - mx)(y -
+my); its batch sums, like a column's, are one ``np.add.reduceat`` over the
+time-ordered segments.
 The batch covariances follow from the pairwise-update identity of Chan,
 Golub & LeVeque (1983): over the segments of batch j,
 
@@ -120,16 +129,30 @@ def delay_lag(tau: float, dt: float, n: int, n_batches: int = N_BATCHES) -> int:
     return k
 
 
-def _segments(starts, n: int, k: int, bounds) -> tuple:
+def _segments(starts, n: int, k: int, n_batches: int) -> tuple:
     """Cut the window [0, n) at the run ``starts``, at the starts shifted by
-    ``-k`` and at ``bounds`` (sorted, from 0, ending at n).  Returns each
-    segment's length, the runs that hold t and t + k over it, and the index
-    of the last bound at or before it."""
+    ``-k`` and at the batch bounds j m (j = 0..n_batches, m = n //
+    n_batches).  Returns each segment's length as a float (so that no
+    product with a factor column casts it), the runs that hold t and t + k
+    over it, and the first segment of each batch and of the tail
+    [n_batches m, n), which is ``len(length)`` if the tail is empty."""
+    m = n // n_batches
+    bounds = np.arange(n_batches + 2) * m
+    bounds[-1] = n
     if k == 0:  # the shifted starts are the starts, all below n: merge them once
-        points, (run, bound) = merge_starts(starts, bounds)
-        return points[1:] - points[:-1], (run[:-1],) * 2, bound[:-1]
-    points, (xrun, yrun, bound) = merge_starts(np.minimum(starts, n), np.maximum(starts - k, 0), bounds)
-    return points[1:] - points[:-1], (xrun[:-1], yrun[:-1]), bound[:-1]
+        points, (run, _) = merge_starts(starts, bounds, step=m)
+        runs = (run[:-1],) * 2
+    else:
+        # The starts below n, and the shifted starts from that of the run
+        # that holds t = k, which moves to 0; t + k then lies in run
+        # ``first`` plus its index among them.
+        first = starts.searchsorted(k, "right") - 1
+        shifted = starts[first:] - k
+        shifted[0] = 0
+        points, (xrun, yrun, _) = merge_starts(starts[:starts.searchsorted(n)], shifted, bounds, step=m)
+        yrun += first
+        runs = xrun[:-1], yrun[:-1]
+    return (points[1:] - points[:-1]).astype(float), runs, points.searchsorted(bounds[:-1])
 
 
 def scan(
@@ -156,9 +179,8 @@ def scan(
     pairs = [_KIND_COLUMNS[kind] for kind in kinds]
     lags = [delay_lag(tau, traces.dt, traces.n, n_batches) for tau in taus]
     columns = tuple(traces.values.T)  # I3 and I4 per run
-    batch_ids = np.arange(n_batches + 2)
     batch_vals = np.empty((len(lags), len(pairs), n_batches))
-    values = [_scan_lag(traces, columns, k, pairs, batch_ids, block) for k, block in zip(lags, batch_vals)]
+    values = [_scan_lag(traces, columns, k, pairs, block) for k, block in zip(lags, batch_vals)]
     # Each row of one std over the last axis is the same bits as its own 1-d std.
     std_errors = (np.std(batch_vals, axis=2, ddof=1) / math.sqrt(n_batches)).tolist()
     return [
@@ -170,20 +192,17 @@ def scan(
     ]
 
 
-def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_ids, batch_vals) -> list[float]:
+def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> list[float]:
     """g2 at lag ``k`` of each (x, y) column pair of ``pairs``; the batch
     values go to the rows of ``batch_vals``, one per pair."""
-    n_batches = len(batch_ids) - 2
+    n_batches = batch_vals.shape[1]
     n = traces.n - k
     m = n // n_batches
-    # Batch j covers [j m, (j + 1) m); the tail [n_batches m, n) counts
-    # towards the window only.
-    bounds = batch_ids * m
-    bounds[-1] = n
-    length, runs, batch = _segments(traces.starts, n, k, bounds)
-    # Batch j is the segments edges[j]:edges[j + 1] (in time order, and every
-    # batch holds m >= 1 samples); the tail is a group only if it holds any.
-    edges = np.searchsorted(batch, batch_ids[:-1])
+    # Batch j covers [j m, (j + 1) m) and is the segments edges[j]:edges[j + 1]
+    # (in time order, and every batch holds m >= 1 samples); the tail
+    # [n_batches m, n) counts towards the window only, and is a group only
+    # if it holds any.
+    length, runs, edges = _segments(traces.starts, n, k, n_batches)
     groups = edges if edges[-1] < len(length) else edges[:-1]
     # Each factor column, keyed (column, 0 at t or 1 at t + k; t + 0 is t),
     # with its window mean, centred on it, and its batch means.
@@ -262,7 +281,7 @@ def first_order_coherence(trace: FieldTrace, tau: float) -> complex:
     """
     k = delay_lag(tau, trace.dt, trace.n, 1)
     n = trace.n - k
-    length, (head, shifted), _ = _segments(trace.starts, n, k, [n])
+    length, (head, shifted), _ = _segments(trace.starts, n, k, 1)
     head, shifted = trace.values[head], trace.values[shifted]
     den = np.sum(length * (head.conj() * head).real) / n
     if not den > 0.0:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -53,7 +54,7 @@ def default_source_config() -> PhaseNoiseConfig:
     return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0)
 
 
-def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def merge_starts(*lists: np.ndarray, step: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
     """The sorted union of sorted sample lists, and for each list the index
     of its last element at or before each point of the union (-1 if none).
 
@@ -64,6 +65,12 @@ def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     equal points, the running count of those elements, less that of lists
     0..i-1 and less one, is list i's index; the last list's index is the
     position less the count of all the others, so L lists take L - 1 counts.
+
+    A ``step`` > 0 declares the last list a grid: 0, step, 2 step, ... and
+    then one end that no element of any list exceeds (the batch bounds of a
+    window).  Its index at a point p is min(p // step, len - 2) below the
+    end and len - 1 at it, computed rather than counted, and the list
+    before it takes the position less the others: L lists take L - 2 counts.
     """
     points = np.concatenate(lists)
     order = points.argsort(kind="stable")
@@ -72,6 +79,16 @@ def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     np.not_equal(points[1:], points[:-1], out=is_last[:-1])
     is_last[-1] = True
     (last,) = is_last.nonzero()
+    points = points[last]
+    position, computed = last, []
+    if step:
+        *lists, grid = lists
+        index = points // step
+        np.minimum(index, len(grid) - 2, out=index)
+        index[-1] = len(grid) - 1
+        computed.append(index)
+        position = last - index
+        position -= 1  # less the grid's count
     ends = list(itertools.accumulate(map(len, lists[:-1])))
     runs, below = [], 0
     for i, end in enumerate(ends):
@@ -81,15 +98,16 @@ def merge_starts(*lists: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         run -= 1
         runs.append(run)
         below = upto
-    runs.append(last - below)
-    return points[last], runs
+    runs.append(position - below)
+    return points, runs + computed
 
 
 class RunLengthRecord:
     """``n`` samples of period ``dt`` stored as runs: run ``r`` holds
     ``values[r]`` on samples ``starts[r]`` up to the next start (or ``n``).
 
-    The runs are checked and copied; ``starts`` and ``values`` are
+    The runs are checked and copied; ``n`` and ``starts`` must be integers
+    (a float is refused, not truncated), ``starts`` and ``values`` are
     read-only, and adjacent runs may hold equal values.  Per-sample data is
     one run per sample (``starts = np.arange(n)``).
     """
@@ -97,9 +115,14 @@ class RunLengthRecord:
     def __init__(self, dt: float, n: int, starts, values):
         if not (math.isfinite(dt) and dt > 0.0):
             raise ValueError("dt must be positive and finite")
+        if not isinstance(n, numbers.Integral):
+            raise ValueError("n must be an integer")
         if n < 1:
             raise ValueError("a record needs at least one sample")
-        starts = np.array(starts, dtype=np.intp)
+        starts = np.array(starts)
+        if starts.size and starts.dtype.kind not in "iu":
+            raise ValueError("run starts must be integers")
+        starts = starts.astype(np.intp, copy=False)
         if not (starts.ndim == 1 and starts.size and starts[0] == 0 and starts[-1] < n
                 and (starts[1:] > starts[:-1]).all()):
             raise ValueError("runs must start at sample 0, then at increasing samples below n")

@@ -530,6 +530,22 @@ def test_detector_traces_check_run_starts(starts, n):
         DetectorTraces(1e-7, n, starts, np.full((len(starts), 2), 0.5))
 
 
+@pytest.mark.parametrize("n, starts, message", [
+    (10, [0, 2.7], "^run starts must be integers$"),
+    (10, [0.0, 2.0], "^run starts must be integers$"),
+    (10, [0, 1e300], "^run starts must be integers$"),
+    (10.7, [0, 2], "^n must be an integer$"),
+    (math.inf, [0, 2], "^n must be an integer$"),
+], ids=["fraction", "float", "overflow", "fractional_n", "infinite_n"])
+def test_records_refuse_what_is_not_an_integer(n, starts, message):
+    # A cast to integers would truncate [0, 2.7] to [0, 2] and 10.7 to 10,
+    # and overflow on 1e300.
+    with pytest.raises(ValueError, match=message):
+        DetectorTraces(1.0, n, starts, np.full((len(starts), 2), 0.5))
+    with pytest.raises(ValueError, match=message):
+        FieldTrace(1.0, n, starts, np.ones(len(starts)))
+
+
 @pytest.mark.parametrize("i3, i4, starts", [
     ([0.0, -0.0, -0.0, 0.0, 0.5, 0.5], [0.25, 0.25, 0.25, 0.25, -0.0, 0.0], [0, 1, 3, 4, 5]),
     ([0.1, 0.2, 0.2, 0.2, 0.3, 0.3], [0.4, 0.4, 0.4, 0.4, 0.4, 0.5], [0, 1, 4, 5]),

@@ -630,10 +630,14 @@ def test_simulate_and_analyze_bytes_are_pinned(tmp_path, lines, simulate_digest,
 # delay grid and at zero delay with three repeats (numpy 2.4, x86-64), as
 # written since the batch errors come from one window-centred product per
 # kind: 338 of 1716 and 29 of 156 cells moved, by at most 8.3e-16 relative.
+# The "unbalanced_repeats" bytes, on the default delay grid, are those
+# written before the lag merge took one count per lag.
 GOLDEN_SWEEP_DIGESTS = {
     "default": ("", "adf56eeb537de191bdf22e3ce003faf8daa3b7f170ac4b9876dbb6b3f9d67974"),
     "zero_delay": ("sim.repeats = 3\nsweep.tau_max = 0\nsweep.tau_steps = 1\n",
                    "2ca61034687b030066d37de7a034e40e1f9a581b2a55e4f6a71913c4083a0f27"),
+    "unbalanced_repeats": ("bench.phi_d = 90 deg\nbench.balance = 0.5\nsim.repeats = 2\n",
+                           "e9cb302e1d9cd90ac5994b7cc3a171126d5bbeceffb12c6d926d8f9e53af088d"),
 }
 
 

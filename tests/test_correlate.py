@@ -11,6 +11,7 @@ from hbtsim.correlate import (
     N_BATCHES,
     SCAN_KINDS,
     CorrelationResult,
+    _segments,
     delay_lag,
     first_order_coherence,
     g2_cross,
@@ -215,6 +216,47 @@ def run_records():
     values[3::7] = -0.0
     values[4::7] = 0.0  # runs of -0.0 and 0.0 side by side
     yield pytest.param(DetectorTraces(1.0, 1000, starts, values), id="signed_zeros")
+
+
+def per_sample_segments(starts, n, k, n_batches):
+    """The segments of lag ``k`` by their definition: the groups of equal
+    (run at t, run at t + k, batch) over t in [0, n), the tail being batch
+    ``n_batches``.  Returns their lengths, both runs and the first group of
+    each batch and of the tail."""
+    t = np.arange(n)
+    triples = np.stack((
+        np.searchsorted(starts, t, side="right") - 1,
+        np.searchsorted(starts, t + k, side="right") - 1,
+        np.minimum(t // (n // n_batches), n_batches),
+    ))
+    first = np.flatnonzero(np.any(triples[:, 1:] != triples[:, :-1], axis=0)) + 1
+    first = np.concatenate(([0], first))
+    xrun, yrun, batch = triples[:, first]
+    return np.diff(first, append=n), xrun, yrun, np.searchsorted(batch, np.arange(n_batches + 1))
+
+
+@pytest.mark.parametrize("size, starts, k, n_batches", [
+    (100, [0, 10, 55, 70, 71, 90, 99], 30, 4),
+    (100, [0, 2, 3, 5, 9, 40, 61], 10, 3),
+    (104, [0, 18, 49, 54, 85, 90, 103], 13, 5),
+    (100, [0, 7, 19, 20, 33, 64, 80, 81], 20, 8),
+    (100, [0, 13, 27, 50, 51, 77], 50, 5),
+    (50, [0, 4, 9, 11, 30, 44], 3, 20),
+    (50, [0], 7, 4),
+    (60, list(range(60)), 11, 7),
+], ids=["clipped", "runs_below_k", "bounds_on_starts", "batches_divide", "half", "long_tail", "one_run", "per_sample"])
+def test_lag_segments_are_the_per_sample_groups(size, starts, k, n_batches):
+    # "bounds_on_starts" (m = 18, n = 91) has starts on the bounds 18 and
+    # 54, and shifted starts (49, 85 and 103, less 13) on 36, 72 and 90.
+    starts = DetectorTraces(1.0, size, starts, np.ones((len(starts), 2))).starts
+    for lag in (0, k):
+        for batches in (n_batches, 1):
+            n = size - lag
+            length, runs, edges = _segments(starts, n, lag, batches)
+            want_length, *want_runs, want_edges = per_sample_segments(starts, n, lag, batches)
+            assert length.dtype == float and np.array_equal(length, want_length), (lag, batches)
+            assert all(np.array_equal(got, want) for got, want in zip(runs, want_runs)), (lag, batches)
+            assert np.array_equal(edges, want_edges), (lag, batches)
 
 
 @pytest.mark.parametrize("traces", run_records())

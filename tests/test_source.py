@@ -306,15 +306,21 @@ def test_counts_are_the_run_lengths(n, starts):
 
 def test_merge_starts_matches_searchsorted():
     rng = np.random.default_rng(5)
-    for case in range(400):
+    for case in range(600):
         span = int(rng.integers(1, 60))
         lists = [np.sort(rng.integers(0, span, rng.integers(1, 30))) for _ in range(rng.integers(1, 5))]
-        # Clipped shifted starts repeat 0, as the lag-k starts of a record
-        # do; a one-element list is the bounds of a one-batch window.
+        # A list that repeats a point (0), and one-element lists.
         lists[0] = np.maximum(lists[0] - int(rng.integers(0, span)), 0)
         if case % 4 == 0:
             lists[-1] = lists[-1][:1]
-        points, runs = merge_starts(*lists)
+        step = 0
+        if case % 3 == 0:
+            # A grid last: 0, step, ..., b step, then an end at or above
+            # every point, as the batch bounds of a window are.
+            step, b = int(rng.integers(1, span + 1)), int(rng.integers(0, 6))
+            end = max(b * step, *(int(lst[-1]) for lst in lists)) + int(rng.integers(0, 3))
+            lists.append(np.append(np.arange(b + 1) * step, end))
+        points, runs = merge_starts(*lists, step=step)
         assert np.array_equal(points, np.unique(np.concatenate(lists)))
         assert len(runs) == len(lists)
         for lst, run in zip(lists, runs):
