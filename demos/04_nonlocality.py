@@ -37,7 +37,7 @@ def main():
     print("loop R-4-L-4 encloses no solid angle, and the mean intensity averages")
     print("the source phases away entirely.")
     print()
-    print(predict_report(0.0, math.pi / 2, 0.0))
+    print(predict_report(BenchConfig(phi3=0.0, phi4=math.pi / 2)))
 
 
 if __name__ == "__main__":

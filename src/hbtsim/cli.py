@@ -100,17 +100,16 @@ class RunConfig:
         check_fits_in_memory("sim.duration", samples, "samples per trace", BYTES_PER_SAMPLE)
         with naming("sim.duration"):
             delay_lag(0.0, self.sim.dt, self.n_samples)
-        # A detector sample is at most s/2 and a mean intensity is s/4, with
-        # s = a^2 (1 + b) (bench.propagate).  The estimators sum n products
-        # of samples and divide by products of means; both must stay normal
-        # floats.  In logs, because a ** 2 itself may overflow.
-        log_s = 2.0 * math.log(self.source.amplitude) + math.log1p(self.bench.balance)
-        if not (math.log(sys.float_info.min) <= 2.0 * log_s - math.log(16.0)
-                and 2.0 * log_s + math.log(samples / 4.0) <= math.log(sys.float_info.max)):
+        # A detector sample is at most s/2, with s = 1 + b for unit-modulus
+        # sources (bench.propagate).  The estimators sum n products of
+        # samples, which must stay finite.  In logs, because (1 + b) ** 2
+        # itself may overflow.
+        log_s = math.log1p(self.bench.balance)
+        if 2.0 * log_s + math.log(samples / 4.0) > math.log(sys.float_info.max):
             raise ConfigError(
-                "source.amplitude, bench.balance",
-                f"intensity scale a^2 (1 + b) = 1e{log_s / math.log(10.0):+.0f} puts the"
-                " estimator products outside the normal float range",
+                "bench.balance",
+                f"intensity scale 1 + b = 1e{log_s / math.log(10.0):+.0f} puts the"
+                " estimator sums above the largest float",
             )
         if not sweep:
             return
@@ -241,7 +240,8 @@ def build_run_config(values: dict[str, object], sweep: bool = True) -> RunConfig
 
 
 def _load_config(args) -> RunConfig:
-    overrides = {} if args.seed is None else {"sim.seed": args.seed}
+    seed = getattr(args, "seed", None)  # predict has no --seed
+    overrides = {} if seed is None else {"sim.seed": seed}
     sweep = args.command == "sweep"
     if args.config:
         return parse_config_file(args.config, overrides, sweep)
@@ -462,18 +462,20 @@ def cmd_analyze(traces: DetectorTraces, taus, kinds: list[str], out_path) -> Non
     write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), rows)
 
 
-def predict_report(phi3: float, phi4: float, phi_d: float) -> str:
-    omega = solid_angle_of_setup(phi3, phi4)
-    terms = term_audit(phi3, phi4, phi_d)
+def predict_report(bench: BenchConfig) -> str:
+    """The closed forms and the term audit of one bench setting."""
+    with naming("bench.phi3, bench.phi4"):
+        omega = solid_angle_of_setup(bench.phi3, bench.phi4)
+    terms = term_audit(bench)
     n_zero = sum(1 for t in terms if t.value == 0)
     lines = [
-        f"phi3    = {phi3:.9g} rad",
-        f"phi4    = {phi4:.9g} rad",
-        f"phi_d   = {phi_d:.9g} rad",
+        f"phi3    = {bench.phi3:.9g} rad",
+        f"phi4    = {bench.phi4:.9g} rad",
+        f"phi_d   = {bench.phi_d:.9g} rad",
         f"omega   = {omega:.9g} sr   (solid angle of the R-4-L-3 polariser loop)",
         f"phi_g   = {omega / 2.0:.9g} rad  (geometric phase, omega/2)",
-        f"g2_cross(tau=0) = {predict_g2_cross(phi_d, omega):.9g}",
-        f"g2_self(tau=0)  = {predict_g2_self():.9g}",
+        f"g2_cross(tau=0) = {predict_g2_cross(bench.phi_d, omega, bench.balance):.9g}",
+        f"g2_self(tau=0)  = {predict_g2_self(bench.balance):.9g}",
         "mean intensity  = 0.25 * (<I1> + <I2>) at each detector",
         "",
         "term audit (16 terms; * marks survivors):",
@@ -492,13 +494,6 @@ def predict_report(phi3: float, phi4: float, phi_d: float) -> str:
 # --- argument parsing ----------------------------------------------------------
 
 
-def _angle_arg(text: str) -> float:
-    try:
-        return parse_angle(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hbt",
@@ -511,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="correlate a recorded trace file")
     p_pre = sub.add_parser("predict", help="closed-form predictions and term audit")
 
-    for p in (p_sim, p_sweep):
+    for p in (p_sim, p_sweep, p_pre):
         p.add_argument("--config", help="flat key-value config file")
+    for p in (p_sim, p_sweep):
         p.add_argument("--seed", type=int, help="override sim.seed")
         p.add_argument("--out", required=True, help="output CSV path")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep points")
@@ -525,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     for kind in SCAN_KINDS:
         p_an.add_argument(f"--{kind}", action="store_true", help=f"estimate g2_{kind} (default: every kind)")
 
-    p_pre.add_argument("--phi3", type=_angle_arg, default=0.0)
-    p_pre.add_argument("--phi4", type=_angle_arg, default=0.5 * math.pi)
-    p_pre.add_argument("--phi-d", type=_angle_arg, default=0.0)
     return parser
 
 
@@ -575,7 +568,7 @@ def main(argv=None) -> int:
             traces = load_detector_traces(args.trace)
             cmd_analyze(traces, _analyze_taus(args, traces), kinds, args.out)
         elif args.command == "predict":
-            print(predict_report(args.phi3, args.phi4, args.phi_d))
+            print(predict_report(_load_config(args).bench))
     except ValueError as exc:
         print(f"hbt: error: {exc}", file=sys.stderr)
         return 2

@@ -14,8 +14,9 @@ the visibility V = 4b/(1+b)^2 of the intensity ratio b = <I2>/<I1>
 ``term_audit`` expands the 16-term product behind the cross correlation and
 evaluates every coefficient from ``bench.amplitudes``, the table that
 ``bench.propagate`` reads and that books ``phi_d`` on the S2 -> D3 path:
-10 terms average to zero, four direct terms contribute 1/4 each, and the
-two geometric terms carry the phase +-(phi_d + omega/2).
+10 terms average to zero, four direct terms sum to 1 (1/4 each at balance
+1), and the two geometric terms carry V/4 each at the phase
++-(phi_d + omega/2).
 """
 
 from __future__ import annotations
@@ -89,19 +90,19 @@ class AuditTerm:
     value: complex
 
 
-def term_audit(phi3: float, phi4: float, phi_d: float = 0.0) -> list[AuditTerm]:
+def term_audit(bench: BenchConfig) -> list[AuditTerm]:
     """Expand <I3 I4> into its 16 terms and evaluate each coefficient.
 
     Sources are taken mutually phase-incoherent with unit intensity: a term
     survives time averaging only when each source field appears in a
     conjugate pair.  A surviving coefficient is
     conj(A3j) A3k conj(A4l) A4m / (<I3><I4>) with ``A = bench.amplitudes``
-    at balance 1 and <I_a> = sum_j |A_aj|^2, so the survivor sum equals the
-    predicted zero-delay cross correlation.  The dynamical phase is booked
-    where ``A`` books it, on the S2 -> D3 path, so the closed two-detector
-    loop carries e^{i phi_d}.
+    of ``bench`` (its balance included) and <I_a> = sum_j |A_aj|^2, so the
+    survivor sum equals the predicted zero-delay cross correlation.  The
+    dynamical phase is booked where ``A`` books it, on the S2 -> D3 path, so
+    the closed two-detector loop carries e^{i phi_d}.
     """
-    a3, a4 = amplitudes(BenchConfig(phi3, phi4, phi_d)).tolist()
+    a3, a4 = amplitudes(bench).tolist()
     norm = sum(abs(a) ** 2 for a in a3) * sum(abs(a) ** 2 for a in a4)
     terms = []
     for j, k, l, m in product((1, 2), repeat=4):

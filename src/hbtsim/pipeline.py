@@ -4,7 +4,9 @@ Seeding is fully deterministic and documented: repeat ``r`` of a run uses
 master entropy ``seed + r``; sweep point ``i`` selects the spawn key
 ``(i,)`` on that master sequence; the two source streams are the first two
 children spawned from it.  Everything downstream is a pure function of the
-generated traces.
+generated traces.  So repeat ``r`` of seed ``s`` is repeat 0 of seed
+``s + r``: the runs of seeds less than ``sim.repeats`` apart share records,
+and a multi-seed study must space its seeds at least ``sim.repeats`` apart.
 """
 
 from __future__ import annotations

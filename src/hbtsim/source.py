@@ -1,15 +1,16 @@
 """Phase-noise-only classical light sources.
 
-A source emits a constant-modulus complex field whose phase is piecewise
+A source emits a unit-modulus complex field whose phase is piecewise
 constant: it dwells for a random time T, then jumps by an angle drawn
 uniformly on the circle.  Dwell times follow an exponential of scale ``t_c``
 truncated to [t_min, t_max] and renormalized there, so the coherence of the
 field is lost on the scale t_c while every dwell resolves the sample grid.
 The instantaneous intensity |E|^2 never fluctuates: all the noise is in the
-phase.  Because the field is constant between jumps, a trace is stored and
-built as its runs of equal samples, ``FieldTrace(dt, n, starts, values)``:
-``phase_jump_process`` draws the dwells and jumps in whole arrays,
-``generate_trace`` places every jump on the sample grid at once and
+phase, and a common field amplitude would cancel from every normalised
+correlation.  Because the field is constant between jumps, a trace is
+stored and built as its runs of equal samples, ``FieldTrace(dt, n, starts,
+values)``: ``phase_jump_process`` draws the dwells and jumps in whole
+arrays, ``generate_trace`` places every jump on the sample grid at once and
 evaluates the field once per phase level it keeps, and the per-sample
 array is built only when ``FieldTrace.samples`` is first read, bitwise
 equal to evaluating the field at every sample.
@@ -31,13 +32,11 @@ from .errors import SamplingTooCoarseError
 
 @dataclass(frozen=True)
 class PhaseNoiseConfig:
-    """Dwell-time scale t_c, truncation bounds [t_min, t_max] (seconds) and
-    field amplitude."""
+    """Dwell-time scale t_c and truncation bounds [t_min, t_max] (seconds)."""
 
     t_c: float
     t_min: float
     t_max: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         for name in ("t_min", "t_c", "t_max"):
@@ -45,13 +44,11 @@ class PhaseNoiseConfig:
                 raise ValueError(f"{name} must be finite")
         if not (0.0 < self.t_min < self.t_c < self.t_max):
             raise ValueError("require 0 < t_min < t_c < t_max")
-        if not (math.isfinite(self.amplitude) and self.amplitude > 0.0):
-            raise ValueError("amplitude must be positive and finite")
 
 
 def default_source_config() -> PhaseNoiseConfig:
     """The bench-scale defaults: t_c = 10 us, dwells in [1 us, 100 us]."""
-    return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=1.0)
+    return PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6)
 
 
 def merge_starts(*lists: np.ndarray, step: int = 0) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -280,4 +277,4 @@ def generate_trace(
     kept = np.empty(len(starts), dtype=bool)
     np.greater(starts[1:], starts[:-1], out=kept[:-1])
     kept[-1] = n > starts[-1]
-    return FieldTrace(dt, n, starts[kept], config.amplitude * np.exp(1j * levels[kept]))
+    return FieldTrace(dt, n, starts[kept], np.exp(1j * levels[kept]))

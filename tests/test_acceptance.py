@@ -153,7 +153,7 @@ def test_criterion_7_term_audit():
     zeros_ok = True
     for _ in range(50):
         phi3, phi4, phi_d = rng.uniform(-math.pi, math.pi, 3)
-        terms = term_audit(phi3, phi4, phi_d)
+        terms = term_audit(BenchConfig(phi3, phi4, phi_d))
         zeros_ok &= sum(1 for t in terms if t.value == 0) == 10
         expected = predict_g2_cross(phi_d, solid_angle_of_setup(phi3, phi4))
         worst = max(worst, abs(audit_survivor_sum(terms) - expected))

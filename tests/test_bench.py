@@ -19,12 +19,7 @@ from hbtsim.errors import IncompatibleTracesError, TraceFormatError
 from hbtsim.oracle import predict_g2_cross, predict_g2_self, predict_intensity, solid_angle_of_setup
 from hbtsim.pipeline import simulate_detectors
 from hbtsim.poincare import linear_state, projector_of
-from hbtsim.source import (
-    FieldTrace,
-    PhaseNoiseConfig,
-    default_source_config,
-    generate_trace,
-)
+from hbtsim.source import FieldTrace, default_source_config, generate_trace
 
 SRC = default_source_config()
 
@@ -62,8 +57,8 @@ def constant_trace(value, n=64, dt=1e-7) -> FieldTrace:
 
 def test_single_source_gives_quarter_intensity():
     amp = 1.7
-    cfg = PhaseNoiseConfig(t_c=SRC.t_c, t_min=SRC.t_min, t_max=SRC.t_max, amplitude=amp)
-    e1 = generate_trace(cfg, 2e-4, 1e-7, np.random.default_rng(4))
+    unit = generate_trace(SRC, 2e-4, 1e-7, np.random.default_rng(4))
+    e1 = FieldTrace(unit.dt, unit.n, unit.starts, amp * unit.values)
     e2 = constant_trace(0.0, n=len(e1.samples))
     out = propagate(e1, e2, BenchConfig(phi3=0.3, phi4=1.1))
     assert np.max(np.abs(out.i3 - amp ** 2 / 4)) < 1e-12 * amp ** 2
@@ -168,8 +163,7 @@ def signed_zero_trace(seed, n=64):
 
 @pytest.mark.parametrize("pair, cfg", [
     (lambda: source_pair(SRC, 2e-2, 1e-7, 1), BenchConfig(phi3=0.0, phi4=0.5 * math.pi)),
-    (lambda: source_pair(PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5),
-                         1.23456789e-3, 1.7e-7, 3),
+    (lambda: source_pair(SRC, 1.23456789e-3, 1.7e-7, 3),
      BenchConfig(phi3=0.4, phi4=2.9, phi_d=1.1, balance=0.3)),
     (lambda: (random_trace(np.random.default_rng(19), n=5000),) * 2,
      BenchConfig(phi3=-0.7, phi4=0.2, phi_d=-2.0, balance=4.0)),

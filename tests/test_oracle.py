@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from hbtsim.bench import BenchConfig
 from hbtsim.oracle import (
     audit_survivor_sum,
     predict_g2_cross,
@@ -112,7 +113,7 @@ def test_audit_counts_and_exact_zeros():
     rng = np.random.default_rng(17)
     for _ in range(50):
         phi3, phi4, phi_d = rng.uniform(-math.pi, math.pi, 3)
-        terms = term_audit(phi3, phi4, phi_d)
+        terms = term_audit(BenchConfig(phi3, phi4, phi_d))
         assert len(terms) == 16
         zeros = [t for t in terms if t.value == 0]
         assert len(zeros) == 10
@@ -125,16 +126,17 @@ def test_audit_counts_and_exact_zeros():
 
 def test_audit_sum_reproduces_prediction():
     rng = np.random.default_rng(19)
-    for _ in range(50):
-        phi3, phi4, phi_d = rng.uniform(-math.pi, math.pi, 3)
-        terms = term_audit(phi3, phi4, phi_d)
-        expected = predict_g2_cross(phi_d, solid_angle_of_setup(phi3, phi4))
-        assert abs(audit_survivor_sum(terms) - expected) <= 1e-12
-        assert abs(sum(t.value for t in terms).imag) <= 1e-15
+    for balance in (1.0, 0.25, 4.0):
+        for _ in range(50):
+            phi3, phi4, phi_d = rng.uniform(-math.pi, math.pi, 3)
+            terms = term_audit(BenchConfig(phi3, phi4, phi_d, balance))
+            expected = predict_g2_cross(phi_d, solid_angle_of_setup(phi3, phi4), balance)
+            assert abs(audit_survivor_sum(terms) - expected) <= 1e-12
+            assert abs(sum(t.value for t in terms).imag) <= 1e-15
 
 
 def test_audit_direct_terms_are_quarters():
-    terms = term_audit(0.3, 1.2, 0.7)
+    terms = term_audit(BenchConfig(0.3, 1.2, 0.7))
     direct = [t for t in terms if t.kind == "direct"]
     for t in direct:
         assert t.value == pytest.approx(0.25, abs=1e-12)
@@ -154,7 +156,7 @@ def test_audit_geometric_terms_match_projector_chain():
         p4 = projector_of(linear_state(phi4)).matrix
         chain = complex(np.trace(p_r @ p3 @ p_l @ p4))
         expected = -cmath.exp(1j * phi_d) * chain
-        terms = {t.d3 + t.d4: t for t in term_audit(phi3, phi4, phi_d)}
+        terms = {t.d3 + t.d4: t for t in term_audit(BenchConfig(phi3, phi4, phi_d))}
         fwd = terms[(1, 2, 2, 1)]
         rev = terms[(2, 1, 1, 2)]
         assert abs(fwd.value - expected) < 1e-12

@@ -39,6 +39,15 @@ def test_simulate_detectors_deterministic():
     assert not np.array_equal(a.i3, c.i3)
 
 
+def test_repeat_r_of_seed_s_is_repeat_0_of_seed_s_plus_r():
+    # The master entropy is seed + repeat, so seeds of a multi-seed study
+    # must lie at least sim.repeats apart.
+    a = simulate_detectors(SRC, BENCH, 2e-4, 1e-7, seed=7, repeat=1, point=3)
+    b = simulate_detectors(SRC, BENCH, 2e-4, 1e-7, seed=8, repeat=0, point=3)
+    assert a.starts.tobytes() == b.starts.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+
+
 def test_sources_within_a_run_are_independent():
     rng1, rng2 = detector_streams(11)
     e1 = generate_trace(SRC, 2e-2, 1e-7, rng1)

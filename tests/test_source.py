@@ -35,8 +35,6 @@ def test_config_invariants():
         PhaseNoiseConfig(t_c=1e-5, t_min=2e-5, t_max=1e-4)  # t_min > t_c
     with pytest.raises(ValueError):
         PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=5e-6)  # t_max < t_c
-    with pytest.raises(ValueError):
-        PhaseNoiseConfig(t_c=1e-5, t_min=1e-6, t_max=1e-4, amplitude=0.0)
 
 
 @pytest.mark.parametrize("name", ["t_min", "t_c", "t_max"])
@@ -112,14 +110,13 @@ def test_jump_phases_uniform_ks():
 
 
 def test_trace_modulus_and_determinism():
-    cfg = PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5)
-    a = generate_trace(cfg, 2e-3, 1e-7, np.random.default_rng(8))
-    b = generate_trace(cfg, 2e-3, 1e-7, np.random.default_rng(8))
+    a = generate_trace(CFG, 2e-3, 1e-7, np.random.default_rng(8))
+    b = generate_trace(CFG, 2e-3, 1e-7, np.random.default_rng(8))
     assert np.array_equal(a.samples, b.samples)
     assert len(a.samples) == 20000
     mods = np.abs(a.samples)
-    assert np.max(np.abs(mods - cfg.amplitude)) < 1e-12 * cfg.amplitude
-    other = generate_trace(cfg, 2e-3, 1e-7, np.random.default_rng(9))
+    assert np.max(np.abs(mods - 1.0)) < 1e-12
+    other = generate_trace(CFG, 2e-3, 1e-7, np.random.default_rng(9))
     assert not np.array_equal(a.samples, other.samples)
 
 
@@ -146,22 +143,22 @@ def test_generate_warns_on_marginal_settings():
         generate_trace(CFG, 50 * T_C, 1e-7, rng)  # short record
 
 
-def per_sample_field(amplitude, jump_times, levels, n, dt):
+def per_sample_field(jump_times, levels, n, dt):
     """Reference: the field evaluated at each sample instant on its own."""
     t = np.arange(n) * dt
-    return amplitude * np.exp(1j * levels[np.searchsorted(jump_times, t, side="right")])
+    return np.exp(1j * levels[np.searchsorted(jump_times, t, side="right")])
 
 
 @pytest.mark.parametrize("cfg, duration, dt, seed", [
     (CFG, 2e-2, 1e-7, 0),
     (CFG, 2e-2, 1e-7, 7),
-    (PhaseNoiseConfig(t_c=10e-6, t_min=1e-6, t_max=100e-6, amplitude=2.5), 2e-3, 1e-7, 3),
-    (PhaseNoiseConfig(t_c=3e-6, t_min=2e-6, t_max=9e-6, amplitude=0.3), 1.23456789e-3, 1.7e-7, 11),
+    (CFG, 2e-3, 1e-7, 3),
+    (PhaseNoiseConfig(t_c=3e-6, t_min=2e-6, t_max=9e-6), 1.23456789e-3, 1.7e-7, 11),
 ])
 def test_trace_is_bitwise_the_per_sample_field(cfg, duration, dt, seed):
     trace = generate_trace(cfg, duration, dt, np.random.default_rng(seed))
     jump_times, levels = phase_jump_process(cfg, duration, np.random.default_rng(seed))
-    expected = per_sample_field(cfg.amplitude, jump_times, levels, int(round(duration / dt)), dt)
+    expected = per_sample_field(jump_times, levels, int(round(duration / dt)), dt)
     assert trace.samples.tobytes() == expected.tobytes()
 
 
@@ -173,7 +170,7 @@ def test_jump_on_a_sample_instant_takes_effect_there(monkeypatch):
     levels = 2.0 * math.pi * np.random.default_rng(5).random(len(jump_times) + 1)
     monkeypatch.setattr("hbtsim.source.phase_jump_process", lambda *args: (jump_times, levels))
     trace = generate_trace(CFG, n * dt, dt, np.random.default_rng(0))
-    expected = per_sample_field(CFG.amplitude, jump_times, levels, n, dt)
+    expected = per_sample_field(jump_times, levels, n, dt)
     assert trace.samples.tobytes() == expected.tobytes()
     assert trace.samples[3] == np.exp(1j * levels[1]) != trace.samples[2]
 
@@ -197,7 +194,7 @@ def test_one_sample_trace_is_bitwise_the_per_sample_field():
     with pytest.warns(UserWarning):  # short record
         trace = generate_trace(CFG, 1e-7, 1e-7, np.random.default_rng(4))
     jump_times, levels = phase_jump_process(CFG, 1e-7, np.random.default_rng(4))
-    assert trace.samples.tobytes() == per_sample_field(1.0, jump_times, levels, 1, 1e-7).tobytes()
+    assert trace.samples.tobytes() == per_sample_field(jump_times, levels, 1, 1e-7).tobytes()
 
 
 def test_g1_zero_delay_is_exactly_one():
