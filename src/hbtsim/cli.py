@@ -90,10 +90,10 @@ class RunConfig:
     sim: SimConfig
     sweep: SweepConfig
 
-    def validate(self, sweep: bool = True) -> None:
-        """Refuse a config whose record ``hbt simulate`` cannot write or,
-        with ``sweep``, whose grid ``hbt sweep`` cannot run, naming the
-        field."""
+    def validate(self) -> None:
+        """Refuse a config whose record ``hbt simulate`` cannot write,
+        naming the field.  The ``sweep.*`` keys are checked by
+        ``sweep_grids``, which only ``hbt sweep`` calls."""
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
@@ -111,18 +111,6 @@ class RunConfig:
                 f"intensity scale 1 + b = 1e{log_s / math.log(10.0):+.0f} puts the"
                 " estimator sums above the largest float",
             )
-        if not sweep:
-            return
-        start, end = self.sweep.phi34_start, self.sweep.phi34_end
-        if not math.isfinite(end - start):
-            raise ConfigError("sweep.phi34_start, sweep.phi34_end", "phi34_end - phi34_start must be finite")
-        for key, phi34 in (("sweep.phi34_start", start), ("sweep.phi34_end", end)):
-            # phi4 and the oracle's 4*(phi4 - phi3) at either end of the grid
-            if not math.isfinite(4.0 * ((self.bench.phi3 + phi34) - self.bench.phi3)):
-                raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
-        rows = self.sweep.phi34_steps * self.sweep.tau_steps
-        check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
-        sweep_grids(self)
 
     @property
     def n_samples(self) -> int:
@@ -141,11 +129,16 @@ BYTES_PER_DELAY = 500
 
 def check_fits_in_memory(field: str, count: float, what: str, item_bytes: int) -> None:
     """Refuse ``count`` items of at least ``item_bytes`` each that would not
-    fit in physical memory, before any array exists.
+    fit in physical memory, before any array exists.  Where the platform
+    cannot tell its physical memory (no ``os.sysconf``, or an error from
+    it), nothing is refused.
 
     int/float comparisons are exact, so nothing overflows.
     """
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
     if count * item_bytes > memory:
         raise ConfigError(
             field, f"{count:.3g} {what} need more than the {memory / 2 ** 30:.3g} GiB of physical memory"
@@ -195,9 +188,9 @@ def _config_keys() -> dict[str, Callable[[str], object]]:
 CONFIG_KEYS = _config_keys()
 
 
-def parse_config_file(path, overrides: dict[str, object] | None = None, sweep: bool = True) -> RunConfig:
+def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunConfig:
     """The config of a file, with ``overrides`` (parsed, by key) winning,
-    validated (the sweep grid only with ``sweep``)."""
+    validated (``RunConfig.validate``)."""
     values: dict[str, object] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -218,12 +211,12 @@ def parse_config_file(path, overrides: dict[str, object] | None = None, sweep: b
                 values[key] = CONFIG_KEYS[key](text)
             except ValueError:
                 raise ConfigError(key, f"unparseable value {text!r}") from None
-    return build_run_config({**values, **(overrides or {})}, sweep)
+    return build_run_config({**values, **(overrides or {})})
 
 
-def build_run_config(values: dict[str, object], sweep: bool = True) -> RunConfig:
+def build_run_config(values: dict[str, object]) -> RunConfig:
     """The default config with ``values`` (parsed, by ``section.key``) set,
-    validated (the sweep grid only with ``sweep``)."""
+    validated (``RunConfig.validate``)."""
     base = default_run_config()
     sections = {}
     for section in fields(base):
@@ -235,17 +228,16 @@ def build_run_config(values: dict[str, object], sweep: bool = True) -> RunConfig
         except ValueError as exc:
             raise ConfigError(section.name, str(exc)) from None
     cfg = RunConfig(**sections)
-    cfg.validate(sweep)
+    cfg.validate()
     return cfg
 
 
 def _load_config(args) -> RunConfig:
     seed = getattr(args, "seed", None)  # predict has no --seed
     overrides = {} if seed is None else {"sim.seed": seed}
-    sweep = args.command == "sweep"
     if args.config:
-        return parse_config_file(args.config, overrides, sweep)
-    return build_run_config(overrides, sweep)
+        return parse_config_file(args.config, overrides)
+    return build_run_config(overrides)
 
 
 # --- sweep --------------------------------------------------------------------
@@ -304,11 +296,22 @@ def delay_grid(fields: tuple[str, str], tau_max: float, steps: int, dt: float, n
 
 
 def sweep_grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The phi34 and delay grids of the sweep, the delays checked against
-    its records."""
-    phi34s = np.linspace(cfg.sweep.phi34_start, cfg.sweep.phi34_end, cfg.sweep.phi34_steps)
+    """The phi34 and delay grids of the sweep.  This is where the
+    ``sweep.*`` keys are checked: a grid whose angles overflow, whose rows
+    would not fit in memory or whose delays its records cannot take is
+    refused, naming the keys, before any array exists."""
+    sweep, phi3 = cfg.sweep, cfg.bench.phi3
+    if not math.isfinite(sweep.phi34_end - sweep.phi34_start):
+        raise ConfigError("sweep.phi34_start, sweep.phi34_end", "phi34_end - phi34_start must be finite")
+    for key, phi34 in (("sweep.phi34_start", sweep.phi34_start), ("sweep.phi34_end", sweep.phi34_end)):
+        # phi4 and the oracle's 4*(phi4 - phi3) at either end of the grid
+        if not math.isfinite(4.0 * ((phi3 + phi34) - phi3)):
+            raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
+    rows = sweep.phi34_steps * sweep.tau_steps
+    check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
     fields = ("sweep.tau_max", "sweep.tau_steps")
-    return phi34s, delay_grid(fields, cfg.sweep.tau_max, cfg.sweep.tau_steps, cfg.sim.dt, cfg.n_samples)
+    taus = delay_grid(fields, sweep.tau_max, sweep.tau_steps, cfg.sim.dt, cfg.n_samples)
+    return np.linspace(sweep.phi34_start, sweep.phi34_end, sweep.phi34_steps), taus
 
 
 Job = tuple[RunConfig, int, float, tuple[float, ...]]
@@ -446,6 +449,7 @@ def cmd_simulate(cfg: RunConfig, out_path) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
+    sweep_grids(cfg)  # refuse a bad grid before any point runs
     points = run_sweep(cfg, workers)
     rows = sweep_rows(cfg, points)
     write_csv(out_path, "# columns: " + ",".join(SWEEP_COLUMNS), map(",".join, rows))

@@ -12,23 +12,22 @@ sit on the sample grid (interpolating would smear phase-jump
 discontinuities); correlation is linear, never circular.
 
 The standard error comes from batch means: the overlap window is split into
-``n_batches`` equal batches (default ``N_BATCHES`` = 20; the remainder of
-the division counts towards the window value only), the estimator is
-recomputed per batch, and the spread of batch values / sqrt(n_batches) is
-reported.  With the default geometry each batch spans >= 50 coherence
-times, so serial correlation within a batch does not bias the error estimate
-much.
+``N_BATCHES`` = 20 equal batches (the remainder of the division counts
+towards the window value only), the estimator is recomputed per batch, and
+the spread of batch values / sqrt(N_BATCHES) is reported.  With the default
+geometry each batch spans >= 50 coherence times, so serial correlation
+within a batch does not bias the error estimate much.
 
 All estimators sum per segment of runs, never per sample.  At lag k the
 window [0, n) is cut at the record's run starts below n, at the run starts
 shifted by -k from the run that holds t = k on (its start moves to 0), and
-at the batch bounds j m (j <= n_batches) and n; over each segment both
+at the batch bounds j m (j <= N_BATCHES) and n; over each segment both
 factors are constant, so every mean and centred product is a sum of
 segment length times value.  One ``merge_starts`` per lag finds the
 segments: a stable sort of the three lists, one running count that gives
 the run at t, and the run at t + k from each point's place in the sort
 less that count and less the bounds at or before the point, min(p // m,
-n_batches) + 1, which is arithmetic, not a count (at lag 0 the shifted
+N_BATCHES) + 1, which is arithmetic, not a count (at lag 0 the shifted
 starts are the starts, merged once, and nothing is counted).  The lengths
 are floats, converted once per lag, and the batches start where the
 bounds sit among the segments.  The cost is O(runs) in time and memory,
@@ -159,7 +158,6 @@ def scan(
     traces: DetectorTraces,
     taus: Sequence[float],
     kinds: Sequence[str] = SCAN_KINDS,
-    n_batches: int = N_BATCHES,
 ) -> list[list[CorrelationResult]]:
     """g2 of each of ``kinds`` at each delay of ``taus``: one list per kind,
     in the order of ``taus``.
@@ -174,15 +172,13 @@ def scan(
     unknown = [kind for kind in kinds if kind not in _KIND_COLUMNS]
     if unknown:
         raise ValueError(f"unknown scan kind {unknown[0]!r}; expected one of {SCAN_KINDS}")
-    if n_batches < 2:
-        raise ValueError("n_batches must be >= 2")
     pairs = [_KIND_COLUMNS[kind] for kind in kinds]
-    lags = [delay_lag(tau, traces.dt, traces.n, n_batches) for tau in taus]
+    lags = [delay_lag(tau, traces.dt, traces.n) for tau in taus]
     columns = tuple(traces.values.T)  # I3 and I4 per run
-    batch_vals = np.empty((len(lags), len(pairs), n_batches))
+    batch_vals = np.empty((len(lags), len(pairs), N_BATCHES))
     values = [_scan_lag(traces, columns, k, pairs, block) for k, block in zip(lags, batch_vals)]
     # Each row of one std over the last axis is the same bits as its own 1-d std.
-    std_errors = (np.std(batch_vals, axis=2, ddof=1) / math.sqrt(n_batches)).tolist()
+    std_errors = (np.std(batch_vals, axis=2, ddof=1) / math.sqrt(N_BATCHES)).tolist()
     return [
         [
             CorrelationResult(value=value[i], tau=k * traces.dt, n_samples=traces.n - k, std_error=std_error[i])
@@ -195,14 +191,13 @@ def scan(
 def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> list[float]:
     """g2 at lag ``k`` of each (x, y) column pair of ``pairs``; the batch
     values go to the rows of ``batch_vals``, one per pair."""
-    n_batches = batch_vals.shape[1]
     n = traces.n - k
-    m = n // n_batches
+    m = n // N_BATCHES
     # Batch j covers [j m, (j + 1) m) and is the segments edges[j]:edges[j + 1]
     # (in time order, and every batch holds m >= 1 samples); the tail
-    # [n_batches m, n) counts towards the window only, and is a group only
+    # [N_BATCHES m, n) counts towards the window only, and is a group only
     # if it holds any.
-    length, runs, edges = _segments(traces.starts, n, k, n_batches)
+    length, runs, edges = _segments(traces.starts, n, k, N_BATCHES)
     groups = edges if edges[-1] < len(length) else edges[:-1]
     # Each factor column, keyed (column, 0 at t or 1 at t + k; t + 0 is t),
     # with its window mean, centred on it, and its batch means.
@@ -215,14 +210,14 @@ def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> lis
             v = columns[key[0]][runs[key[1]]]
             s = np.add.reduceat(length * v, groups)
             # Positive batch means imply a positive window mean.
-            if not s[:n_batches].min() > 0.0:
+            if not s[:N_BATCHES].min() > 0.0:
                 raise InsufficientDataError("zero mean intensity in a batch of the overlap window")
             mean = s.sum() / n
-            factors[key] = mean, v - mean, s[:n_batches] / m
+            factors[key] = mean, v - mean, s[:N_BATCHES] / m
     # Per kind (row): the window sum and the batch sums of its centred
     # product, and its factors' window and batch means.
     window = np.empty(len(pairs))
-    sums, bx, by = (np.empty((len(pairs), n_batches)) for _ in range(3))
+    sums, bx, by = (np.empty((len(pairs), N_BATCHES)) for _ in range(3))
     mx, my = np.empty((len(pairs), 1)), np.empty((len(pairs), 1))
     for i, (a, b) in enumerate(pairs):
         mx[i], dx, bx[i] = factors[a, 0]
@@ -231,7 +226,7 @@ def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> lis
         prod *= length
         s = np.add.reduceat(prod, groups)
         window[i] = s.sum()
-        sums[i] = s[:n_batches]
+        sums[i] = s[:N_BATCHES]
     # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
     # and free of the large-term cancellation.
     values = 1.0 + window / n / (mx * my)[:, 0]
@@ -252,25 +247,20 @@ def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> lis
     return values.tolist()
 
 
-def g2_cross(traces: DetectorTraces, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
+def g2_cross(traces: DetectorTraces, tau: float) -> CorrelationResult:
     """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
-    return scan(traces, [tau], ("cross",), n_batches)[0][0]
+    return scan(traces, [tau], ("cross",))[0][0]
 
 
-def g2_self(traces: DetectorTraces, which: int, tau: float, n_batches: int = N_BATCHES) -> CorrelationResult:
+def g2_self(traces: DetectorTraces, which: int, tau: float) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
     kind = ("self3", "self4")[detector_column(which)]
-    return scan(traces, [tau], (kind,), n_batches)[0][0]
+    return scan(traces, [tau], (kind,))[0][0]
 
 
-def g2_delay_scan(
-    traces: DetectorTraces,
-    kind: str,
-    taus: Sequence[float],
-    n_batches: int = N_BATCHES,
-) -> list[CorrelationResult]:
+def g2_delay_scan(traces: DetectorTraces, kind: str, taus: Sequence[float]) -> list[CorrelationResult]:
     """The one-kind ``scan``."""
-    return scan(traces, taus, (kind,), n_batches)[0]
+    return scan(traces, taus, (kind,))[0]
 
 
 def first_order_coherence(trace: FieldTrace, tau: float) -> complex:

@@ -131,7 +131,7 @@ def test_oversized_config_rejected_before_allocating(tmp_path, monkeypatch, line
     path = tmp_path / "big.cfg"
     path.write_text(line + "\n")
     with pytest.raises(ConfigError, match="physical memory") as info:
-        parse_config_file(path)
+        sweep_grids(parse_config_file(path))
     assert field in info.value.field
 
 
@@ -205,7 +205,7 @@ def test_record_of_exactly_the_batches_is_accepted(tmp_path):
     path = tmp_path / "short.cfg"
     for duration, grid in (("2e-6", "sweep.tau_max = 0\nsweep.tau_steps = 1"), ("4e-6", "sweep.tau_max = 2e-6")):
         path.write_text(f"sim.duration = {duration}\n{grid}\n")
-        parse_config_file(path)
+        sweep_grids(parse_config_file(path))
 
 
 @pytest.mark.parametrize("tau_max", ["5e-5", "1e-7"])
@@ -229,9 +229,26 @@ def test_simulate_is_not_checked_against_the_sweep_grid(tmp_path, capsys):
     assert "sweep.tau_max: tau=5e-05 exceeds half the record length" in capsys.readouterr().err
     for lines in ("sweep.tau_max = 0\n", "sweep.phi34_start = -1e308\nsweep.phi34_end = 1e308\n"):
         path.write_text("sim.duration = 2e-3\n" + lines)
-        assert parse_config_file(path, sweep=False).sim.duration == 2e-3
+        cfg = parse_config_file(path)
+        assert cfg.sim.duration == 2e-3
         with pytest.raises(ConfigError, match="sweep"):
-            parse_config_file(path)
+            sweep_grids(cfg)
+
+
+@pytest.mark.parametrize("lines, field", [
+    ("sweep.tau_max = 1.0\n", "sweep.tau_max"),
+    ("sweep.tau_max = 1e-7\nsweep.tau_steps = 1\n", "sweep.tau_steps"),
+    ("sweep.phi34_start = -1e308\nsweep.phi34_end = 1e308\n", "sweep.phi34_start, sweep.phi34_end"),
+    ("sweep.phi34_steps = 1000000000000\n", "sweep.phi34_steps x sweep.tau_steps"),
+], ids=["tau_max", "tau_steps", "phi34_span", "rows"])
+def test_predict_is_not_checked_against_the_sweep_grid(tmp_path, capsys, monkeypatch, lines, field):
+    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    path = tmp_path / "grid.cfg"
+    path.write_text("sim.duration = 2e-3\n" + lines)
+    assert main(["predict", "--config", str(path)]) == 0
+    assert "g2_cross(tau=0) = " in capsys.readouterr().out
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"hbt: error: {field}: ")
 
 
 def test_sweep_takes_a_grid_end_at_half_the_record(tmp_path):
@@ -278,6 +295,7 @@ def test_sweep_and_analyze_accept_the_same_delay_grids(tmp_path, n, tau_max, ste
     values = {"sim.duration": n * 1e-7, "sweep.tau_max": tau_max, "sweep.tau_steps": steps}
     try:
         cfg = build_run_config(values)
+        sweep_grids(cfg)
     except ConfigError:
         sweep_accepts = False
     else:
@@ -437,6 +455,27 @@ def test_sweep_on_one_usable_cpu_runs_serially(tmp_path, small_cfg_path, monkeyp
     assert pinned.read_bytes() == serial.read_bytes()
 
 
+def test_platform_without_sysconf_or_fork_runs_every_command(tmp_path, small_cfg_path, monkeypatch):
+    # Physical memory unknown is no bound, and the sweep runs serially.
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    assert main(["sweep", "--config", str(small_cfg_path), "--out", str(serial)]) == 0
+    monkeypatch.delattr(os, "sysconf")
+    monkeypatch.delattr(os, "fork")
+    assert main(["simulate", "--config", str(small_cfg_path), "--out", str(tmp_path / "traces.csv")]) == 0
+    assert main(["sweep", "--config", str(small_cfg_path), "--workers", "2", "--out", str(parallel)]) == 0
+    assert parallel.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("error", [ValueError("unrecognized configuration name"), OSError(22, "Invalid argument")],
+                         ids=["ValueError", "OSError"])
+def test_unknown_physical_memory_is_no_bound(monkeypatch, error):
+    def sysconf(name):
+        raise error
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    cli.check_fits_in_memory("sim.duration", 1e30, "samples per trace", BYTES_PER_SAMPLE)
+
+
 def test_import_and_config_load_no_process_pool(small_cfg_path, tmp_path):
     # Start-up must not pay for a process pool, and a parallel sweep forks
     # its workers without one.
@@ -462,6 +501,14 @@ def parent_pid(monkeypatch):
     points 2-4 of the small config."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return os.getpid()
+
+
+def test_refused_parallel_sweep_forks_nothing(tmp_path, capsys, monkeypatch, parent_pid):
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a sweep worker was forked"))
+    path = tmp_path / "beyond.cfg"
+    path.write_text("sim.duration = 2e-3\nsweep.tau_max = 1.1e-3\n")
+    assert main(["sweep", "--config", str(path), "--workers", "2", "--out", str(tmp_path / "o.csv")]) == 2
+    assert capsys.readouterr().err.startswith("hbt: error: sweep.tau_max: ")
 
 
 @pytest.mark.parametrize(
@@ -991,5 +1038,6 @@ def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):
 def test_default_config_is_valid():
     cfg = default_run_config()
     cfg.validate()
+    sweep_grids(cfg)
     assert cfg.sweep.phi34_steps == 13
     assert cfg.sim.duration == pytest.approx(2000 * cfg.source.t_c)

@@ -370,13 +370,12 @@ def test_scan_of_no_delays_or_no_kinds():
 @pytest.mark.parametrize("call, error, message", [
     (lambda tr: scan(tr, [0.0], ("cross", "both")), ValueError,
      "unknown scan kind 'both'; expected one of ('cross', 'self3', 'self4')"),
-    (lambda tr: scan(tr, [0.0], n_batches=1), ValueError, "n_batches must be >= 2"),
     (lambda tr: scan(tr, [0.0, 1.5e-7]), OffGridDelayError, "tau=1.5e-07 is not an integer multiple of dt=1e-07"),
     (lambda tr: scan(tr, [0.0, 60e-7]), InsufficientDataError,
      "tau=6e-06 exceeds half the record length 9.999999999999999e-06"),
     (lambda tr: scan(DetectorTraces(1e-7, 1000, [0, 100, 160], [[0.5, 0.5], [0.0, 0.5], [0.5, 0.5]]), [0.0], ("self4", "self3")),
      InsufficientDataError, "zero mean intensity in a batch of the overlap window"),
-], ids=["unknown_kind", "one_batch", "off_grid", "beyond_half", "dark_batch"])
+], ids=["unknown_kind", "off_grid", "beyond_half", "dark_batch"])
 def test_scan_refuses_what_the_one_kind_estimators_refuse(call, error, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -429,19 +428,17 @@ def test_dark_batch_raises_before_dividing():
         assert got.std_error == std_error == 0.0
 
 
-def test_std_error_scales_with_batch_count():
-    # fixed batch size, 4x the batches -> half the standard error
+def test_std_error_scales_with_record_length():
+    # the N_BATCHES batches of a record 4x longer -> half the standard error
     rng = np.random.default_rng(4)
-    m = 500
+    n = 500 * N_BATCHES
     ratios = []
     for _ in range(40):
-        x20 = rng.exponential(1.0, size=m * 20)
-        y20 = rng.exponential(1.0, size=m * 20)
-        x80 = rng.exponential(1.0, size=m * 80)
-        y80 = rng.exponential(1.0, size=m * 80)
-        e20 = g2_cross(sample_traces(x20, y20), 0.0, n_batches=20).std_error
-        e80 = g2_cross(sample_traces(x80, y80), 0.0, n_batches=80).std_error
-        ratios.append(e20 / e80)
+        x1, y1 = rng.exponential(1.0, size=(2, n))
+        x4, y4 = rng.exponential(1.0, size=(2, 4 * n))
+        e1 = g2_cross(sample_traces(x1, y1), 0.0).std_error
+        e4 = g2_cross(sample_traces(x4, y4), 0.0).std_error
+        ratios.append(e1 / e4)
     assert abs(np.mean(ratios) / 2.0 - 1.0) < 0.2
 
 
