@@ -91,9 +91,9 @@ class RunConfig:
     sweep: SweepConfig
 
     def validate(self) -> None:
-        """Refuse a config whose record ``hbt simulate`` cannot write,
-        naming the field.  The ``sweep.*`` keys are checked by
-        ``sweep_grids``, which only ``hbt sweep`` calls."""
+        """Refuse, naming the field, a config whose record ``hbt simulate``
+        cannot hold (``sim.dt`` above ``source.t_min``: see ``generate_trace``)
+        or write.  Only ``hbt sweep`` checks ``sweep.*`` (``sweep_grids``)."""
         if self.sim.dt > self.source.t_min:
             raise ConfigError("sim.dt", "must not exceed source.t_min")
         samples = self.sim.duration / self.sim.dt
@@ -111,6 +111,13 @@ class RunConfig:
                 f"intensity scale 1 + b = 1e{log_s / math.log(10.0):+.0f} puts the"
                 " estimator sums above the largest float",
             )
+
+    def diagnostics(self) -> list[str]:
+        """Warnings, each naming its field, on a config whose error bars understate the noise."""
+        if self.sim.duration < 100.0 * self.source.t_c:
+            return [f"sim.duration: below 100 source.t_c = {100.0 * self.source.t_c:.6g} s;"
+                    " the error bars will understate the noise"]
+        return []
 
     @property
     def n_samples(self) -> int:
@@ -235,9 +242,10 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
 def _load_config(args) -> RunConfig:
     seed = getattr(args, "seed", None)  # predict has no --seed
     overrides = {} if seed is None else {"sim.seed": seed}
-    if args.config:
-        return parse_config_file(args.config, overrides)
-    return build_run_config(overrides)
+    cfg = parse_config_file(args.config, overrides) if args.config else build_run_config(overrides)
+    if args.command != "predict":  # the commands that run the sources, before they do
+        sys.stderr.writelines(f"hbt: warning: {line}\n" for line in cfg.diagnostics())
+    return cfg
 
 
 # --- sweep --------------------------------------------------------------------

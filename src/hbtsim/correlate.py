@@ -163,11 +163,8 @@ def scan(
     in the order of ``taus``.
 
     Kind ``cross`` correlates x = I3 at t with y = I4 at t + tau, ``self3``
-    and ``self4`` a detector with itself.  Each lag fills its block of one
-    (lags, kinds, batches) array of batch values, with the batch arithmetic
-    of all kinds in one block, and one ``np.std`` over it gives every error
-    bar of the scan.  The per-segment arrays stay 1-d and are those of one
-    lag: larger or more of them fault in fresh pages on every use.
+    and ``self4`` a detector with itself.  The module docstring says how
+    the lags and kinds share their work and memory.
     """
     unknown = [kind for kind in kinds if kind not in _KIND_COLUMNS]
     if unknown:

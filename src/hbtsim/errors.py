@@ -12,7 +12,7 @@ class DegenerateGeodesicError(ValueError):
 
 
 class SamplingTooCoarseError(ValueError):
-    """Sample period exceeds the minimum phase dwell; jumps would alias."""
+    """Sample period exceeds the minimum dwell: dwells would outnumber samples."""
 
 
 class IncompatibleTracesError(ValueError):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -242,22 +241,17 @@ def generate_trace(
     """Sample the phase-noise field on a uniform grid of period ``dt``.
 
     A jump landing between sample instants takes effect at the next sample
-    (sample-and-hold), unbiased for dt << t_min.  The trace is built from its
-    runs: the field is computed once per phase level that holds at least one
-    sample, bitwise equal to computing it per sample.  dt > t_min would alias
-    whole dwells and raises SamplingTooCoarseError; dt above the recommended
-    t_min/4, or duration below the recommended 100*t_c, only warns.
+    (sample-and-hold).  The field is computed once per phase level that
+    holds at least one sample, bitwise equal to computing it per sample.
+    dt > t_min raises SamplingTooCoarseError, to bound memory, not bias: it
+    keeps the dwells drawn below 1.7 n + 25 for n samples.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
     if dt > config.t_min:
         raise SamplingTooCoarseError(
-            f"dt={dt!r} exceeds t_min={config.t_min!r}; phase jumps would alias"
+            f"dt={dt!r} exceeds t_min={config.t_min!r}; the dwells would outnumber the samples"
         )
-    if dt > config.t_min / 4.0:
-        warnings.warn("dt above t_min/4; dwell discretization is coarse", stacklevel=2)
-    if duration < 100.0 * config.t_c:
-        warnings.warn("duration below 100*t_c; estimators will be noisy", stacklevel=2)
     jump_times, levels = phase_jump_process(config, duration, rng)
     n = int(round(duration / dt))
     # Level i + 1 starts at the first sample instant k * dt at or after jump

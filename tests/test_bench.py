@@ -275,6 +275,27 @@ def test_every_kind_agrees_with_oracle_at_random_phases():
             assert abs(mean_intensity(traces, which) / predict_intensity(1.0, balance) - 1.0) < 0.1
 
 
+def test_every_kind_agrees_with_oracle_at_dt_equal_to_t_min():
+    # The coarsest sample period a config may set.  Sample-and-hold drops
+    # the levels that hold no sample, and each sample still sees a phase
+    # uniform on the circle, so the zero-delay estimates keep their means.
+    cfg = BenchConfig(phi3=0.0, phi4=math.radians(22.5))
+    oracle = {
+        "cross": predict_g2_cross(0.0, solid_angle_of_setup(cfg.phi3, cfg.phi4)),
+        "self3": predict_g2_self(),
+        "self4": predict_g2_self(),
+    }
+    z = {kind: [] for kind in SCAN_KINDS}
+    for seed in range(12):
+        traces = simulate_detectors(SRC, cfg, 2e-2, SRC.t_min, seed=seed)
+        for kind, (result,) in zip(SCAN_KINDS, scan(traces, [0.0])):
+            z[kind].append((result.value - oracle[kind]) / result.std_error)
+    for kind, zs in z.items():
+        zs = np.array(zs)
+        assert np.abs(zs).max() < 5.0, (kind, zs)
+        assert abs(zs.mean()) < 3.0 * zs.std(ddof=1) / math.sqrt(len(zs)), (kind, zs)
+
+
 def test_incompatible_traces_raise():
     a = constant_trace(1.0, n=32, dt=1e-7)
     with pytest.raises(IncompatibleTracesError):

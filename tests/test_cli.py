@@ -45,6 +45,9 @@ sweep.tau_steps = 2
 sweep.tau_max = 2e-5
 """
 
+# The diagnostic line of a record under 100 source.t_c, at the default t_c.
+SHORT_RECORD = "sim.duration: below 100 source.t_c = 0.001 s; the error bars will understate the noise"
+
 
 @pytest.fixture()
 def small_cfg_path(tmp_path):
@@ -222,8 +225,8 @@ def test_simulate_is_not_checked_against_the_sweep_grid(tmp_path, capsys):
     path = tmp_path / "short.cfg"
     path.write_text("sim.duration = 5e-5\n")
     traces = tmp_path / "traces.csv"
-    with pytest.warns(UserWarning, match="duration below"):
-        assert main(["simulate", "--config", str(path), "--seed", "3", "--out", str(traces)]) == 0
+    assert main(["simulate", "--config", str(path), "--seed", "3", "--out", str(traces)]) == 0
+    assert capsys.readouterr().err == f"hbt: warning: {SHORT_RECORD}\n"
     assert len(load_detector_traces(traces)) == 500
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     assert "sweep.tau_max: tau=5e-05 exceeds half the record length" in capsys.readouterr().err
@@ -233,6 +236,23 @@ def test_simulate_is_not_checked_against_the_sweep_grid(tmp_path, capsys):
         assert cfg.sim.duration == 2e-3
         with pytest.raises(ConfigError, match="sweep"):
             sweep_grids(cfg)
+
+
+@pytest.mark.parametrize("lines", [
+    "sim.dt = 2e-6\n",
+    # Dwells of 2.9e-12 s on average: at the default sim.dt the 2e5 samples
+    # pass the memory check, but the jump process would draw 8.6e9 dwells
+    # (69 GB per array).
+    "source.t_c = 2e-12\nsource.t_min = 1e-12\nsource.t_max = 1e-11\n",
+], ids=["dt_twice_t_min", "dwells_far_below_dt"])
+def test_dt_above_t_min_is_refused_before_any_trace(tmp_path, capsys, monkeypatch, lines):
+    for where in ("hbtsim.cli.simulate_detectors", "hbtsim.pipeline.simulate_detectors"):
+        monkeypatch.setattr(where, lambda *args, **kwargs: pytest.fail("a trace was simulated"))
+    path = tmp_path / "coarse.cfg"
+    path.write_text(lines)
+    for command in ("simulate", "sweep"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == "hbt: error: sim.dt: must not exceed source.t_min\n"
 
 
 @pytest.mark.parametrize("lines, field", [
@@ -501,6 +521,18 @@ def parent_pid(monkeypatch):
     points 2-4 of the small config."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return os.getpid()
+
+
+def test_parallel_sweep_of_a_short_record_warns_once(tmp_path, capfd, parent_pid):
+    path = tmp_path / "short.cfg"
+    path.write_text("sim.duration = 5e-4\nsweep.tau_max = 0\nsweep.tau_steps = 1\nsweep.phi34_steps = 5\n")
+    outs = [tmp_path / f"w{workers}.csv" for workers in (1, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for workers, out in zip((1, 2), outs):
+            assert main(["sweep", "--config", str(path), "--workers", str(workers), "--out", str(out)]) == 0
+            assert capfd.readouterr() == ("", f"hbt: warning: {SHORT_RECORD}\n")
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_refused_parallel_sweep_forks_nothing(tmp_path, capsys, monkeypatch, parent_pid):
@@ -1022,6 +1054,34 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert done.returncode == 2
     assert "source.amplitude: unknown configuration key" in done.stderr
     assert "Traceback" not in done.stdout + done.stderr
+
+
+def test_diagnostics_end_no_command_under_warnings_as_errors(tmp_path):
+    src = Path(hbtsim.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run(lines, *argv):
+        (tmp_path / "run.cfg").write_text(lines)
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hbtsim", *argv, "--config", "run.cfg"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    short = "sim.duration = 5e-4\nsweep.tau_max = 0\nsweep.tau_steps = 1\nsweep.phi34_steps = 3\n"
+    for lines, argv in (
+        ("sim.duration = 5e-5\n", ["simulate", "--out", "traces.csv"]),
+        (short, ["sweep", "--workers", "1", "--out", "w1.csv"]),
+        (short, ["sweep", "--workers", "2", "--out", "w2.csv"]),
+    ):
+        done = run(lines, *argv)
+        assert (done.returncode, done.stderr) == (0, f"hbt: warning: {SHORT_RECORD}\n"), argv
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+    # dt = t_min, a record of 2000 t_c: no diagnostic; predict prints none
+    done = run("source.t_c = 1e-6\nsource.t_min = 1e-7\nsource.t_max = 1e-3\nsim.duration = 2e-3\n",
+               "simulate", "--out", "fine.csv")
+    assert (done.returncode, done.stderr) == (0, "")
+    done = run("sim.duration = 5e-5\n", "predict")
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):

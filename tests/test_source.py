@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from hbtsim.cli import build_run_config
 from hbtsim.correlate import first_order_coherence
 from hbtsim.errors import InsufficientDataError, SamplingTooCoarseError
 from hbtsim.source import (
@@ -135,12 +136,18 @@ def test_generate_rejects_coarse_dt():
         generate_trace(CFG, 2e-3, 2 * CFG.t_min, np.random.default_rng(0))
 
 
-def test_generate_warns_on_marginal_settings():
-    rng = np.random.default_rng(0)
-    with pytest.warns(UserWarning):
-        generate_trace(CFG, 2e-3, CFG.t_min / 2, rng)  # dt above t_min/4
-    with pytest.warns(UserWarning):
-        generate_trace(CFG, 50 * T_C, 1e-7, rng)  # short record
+def test_only_the_run_config_diagnoses_a_short_record():
+    # Trace synthesis warns of nothing: a coarse dt or a short record is no
+    # error there, and a warning would end a run under -W error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dt in (CFG.t_min / 2, CFG.t_min):
+            generate_trace(CFG, 50 * T_C, dt, np.random.default_rng(0))
+    (line,) = build_run_config({"sim.duration": 50 * T_C}).diagnostics()
+    assert line.startswith("sim.duration: ")
+    assert build_run_config({}).diagnostics() == []
+    assert build_run_config({"sim.dt": CFG.t_min}).diagnostics() == []
+    assert build_run_config({"sim.duration": 100 * T_C}).diagnostics() == []
 
 
 def per_sample_field(jump_times, levels, n, dt):
@@ -154,6 +161,8 @@ def per_sample_field(jump_times, levels, n, dt):
     (CFG, 2e-2, 1e-7, 7),
     (CFG, 2e-3, 1e-7, 3),
     (PhaseNoiseConfig(t_c=3e-6, t_min=2e-6, t_max=9e-6), 1.23456789e-3, 1.7e-7, 11),
+    (CFG, 2e-2, CFG.t_min, 5),  # the coarsest dt a config may set
+    (PhaseNoiseConfig(t_c=1e-6, t_min=1e-7, t_max=1e-3), 2e-3, 1e-7, 13),
 ])
 def test_trace_is_bitwise_the_per_sample_field(cfg, duration, dt, seed):
     trace = generate_trace(cfg, duration, dt, np.random.default_rng(seed))
@@ -191,8 +200,7 @@ def test_jump_placement_is_the_sample_grid_search(monkeypatch, dt):
 
 
 def test_one_sample_trace_is_bitwise_the_per_sample_field():
-    with pytest.warns(UserWarning):  # short record
-        trace = generate_trace(CFG, 1e-7, 1e-7, np.random.default_rng(4))
+    trace = generate_trace(CFG, 1e-7, 1e-7, np.random.default_rng(4))
     jump_times, levels = phase_jump_process(CFG, 1e-7, np.random.default_rng(4))
     assert trace.samples.tobytes() == per_sample_field(jump_times, levels, 1, 1e-7).tobytes()
 
