@@ -33,7 +33,6 @@ from .errors import (
     IncompatibleTracesError,
     InsufficientDataError,
     OffGridDelayError,
-    SamplingTooCoarseError,
     TraceFormatError,
 )
 from .oracle import (
@@ -41,7 +40,6 @@ from .oracle import (
     audit_survivor_sum,
     predict_g2_cross,
     predict_g2_self,
-    predict_intensity,
     solid_angle_of_setup,
     term_audit,
 )

@@ -38,7 +38,7 @@ from .oracle import (
     term_audit,
 )
 from .pipeline import PointEstimates, estimate_point, simulate_detectors
-from .source import PhaseNoiseConfig, default_source_config
+from .source import PhaseNoiseConfig, default_source_config, truncated_dwell_mean
 
 
 @dataclass(frozen=True)
@@ -92,12 +92,12 @@ class RunConfig:
 
     def validate(self) -> None:
         """Refuse, naming the field, a config whose record ``hbt simulate``
-        cannot hold (``sim.dt`` above ``source.t_min``: see ``generate_trace``)
-        or write.  Only ``hbt sweep`` checks ``sweep.*`` (``sweep_grids``)."""
-        if self.sim.dt > self.source.t_min:
-            raise ConfigError("sim.dt", "must not exceed source.t_min")
+        cannot hold (its samples or its phase dwells) or write.  Only
+        ``hbt sweep`` checks ``sweep.*`` (``sweep_grids``)."""
         samples = self.sim.duration / self.sim.dt
         check_fits_in_memory("sim.duration", samples, "samples per trace", BYTES_PER_SAMPLE)
+        dwells = self.sim.duration / truncated_dwell_mean(self.source)
+        check_fits_in_memory("sim.duration, source.t_c", dwells, "phase dwells per trace", BYTES_PER_DWELL)
         with naming("sim.duration"):
             delay_lag(0.0, self.sim.dt, self.n_samples)
         # A detector sample is at most s/2, with s = 1 + b for unit-modulus
@@ -125,11 +125,14 @@ class RunConfig:
         return round(self.sim.duration / self.sim.dt)
 
 
-# Lower bounds on the bytes per trace sample, sweep row and analyze delay:
-# tracemalloc at the default config measures 3.0-3.5 B per sample in every
-# command (runs, streamed CSVs), plus about 0.15 MB of CSV write blocks in
-# simulate, 1.8 kB per row and 1.3 kB per delay.
+# Lower bounds on the bytes per trace sample, phase dwell, sweep row and
+# analyze delay: tracemalloc at the default config measures 3.0-3.5 B per
+# sample in every command (runs, streamed CSVs), plus about 0.15 MB of CSV
+# write blocks in simulate, 1.8 kB per row and 1.3 kB per delay; the peak of
+# a trace (generate_trace, simulate_detectors) is 37-180 B per dwell
+# wherever the dwells outnumber the samples.
 BYTES_PER_SAMPLE = 2
+BYTES_PER_DWELL = 32
 BYTES_PER_ROW = 1000
 BYTES_PER_DELAY = 500
 

@@ -11,10 +11,6 @@ class DegenerateGeodesicError(ValueError):
     connecting geodesic (and hence the geometric phase) is undefined."""
 
 
-class SamplingTooCoarseError(ValueError):
-    """Sample period exceeds the minimum dwell: dwells would outnumber samples."""
-
-
 class IncompatibleTracesError(ValueError):
     """Traces disagree in sample period or length."""
 

@@ -60,15 +60,6 @@ def predict_g2_self(balance: float = 1.0) -> float:
     return 1.0 + 0.5 * visibility(balance)
 
 
-def predict_intensity(i1_mean: float, i2_mean: float) -> float:
-    """Mean detector intensity (<I1> + <I2>)/4, same at both detectors."""
-    if not (math.isfinite(i1_mean) and math.isfinite(i2_mean)):
-        raise ValueError("intensities must be finite")
-    if i1_mean < 0.0 or i2_mean < 0.0:
-        raise ValueError("intensities must be nonnegative")
-    return 0.25 * (i1_mean + i2_mean)
-
-
 @dataclass(frozen=True)
 class AuditTerm:
     """One of the 16 products in the cross-correlation expansion.

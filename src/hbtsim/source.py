@@ -4,7 +4,7 @@ A source emits a unit-modulus complex field whose phase is piecewise
 constant: it dwells for a random time T, then jumps by an angle drawn
 uniformly on the circle.  Dwell times follow an exponential of scale ``t_c``
 truncated to [t_min, t_max] and renormalized there, so the coherence of the
-field is lost on the scale t_c while every dwell resolves the sample grid.
+field is lost on the scale t_c.
 The instantaneous intensity |E|^2 never fluctuates: all the noise is in the
 phase, and a common field amplitude would cancel from every normalised
 correlation.  Because the field is constant between jumps, a trace is
@@ -25,8 +25,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .errors import SamplingTooCoarseError
 
 
 @dataclass(frozen=True)
@@ -243,15 +241,9 @@ def generate_trace(
     A jump landing between sample instants takes effect at the next sample
     (sample-and-hold).  The field is computed once per phase level that
     holds at least one sample, bitwise equal to computing it per sample.
-    dt > t_min raises SamplingTooCoarseError, to bound memory, not bias: it
-    keeps the dwells drawn below 1.7 n + 25 for n samples.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError("dt must be positive and finite")
-    if dt > config.t_min:
-        raise SamplingTooCoarseError(
-            f"dt={dt!r} exceeds t_min={config.t_min!r}; the dwells would outnumber the samples"
-        )
     jump_times, levels = phase_jump_process(config, duration, rng)
     n = int(round(duration / dt))
     # Level i + 1 starts at the first sample instant k * dt at or after jump

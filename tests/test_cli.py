@@ -18,6 +18,7 @@ from hbtsim import cli
 from hbtsim.bench import DetectorTraces, load_detector_traces, save_detector_traces
 from hbtsim.cli import (
     BYTES_PER_DELAY,
+    BYTES_PER_DWELL,
     BYTES_PER_SAMPLE,
     CONFIG_KEYS,
     build_run_config,
@@ -35,6 +36,7 @@ from hbtsim.correlate import SCAN_KINDS, g2_cross
 from hbtsim.errors import ConfigError, InsufficientDataError
 from hbtsim.oracle import predict_g2_cross, solid_angle_of_setup
 from hbtsim.pipeline import simulate_detectors
+from hbtsim.source import truncated_dwell_mean
 
 SMALL_CFG = """
 # comment line
@@ -239,20 +241,25 @@ def test_simulate_is_not_checked_against_the_sweep_grid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("lines", [
-    "sim.dt = 2e-6\n",
-    # Dwells of 2.9e-12 s on average: at the default sim.dt the 2e5 samples
-    # pass the memory check, but the jump process would draw 8.6e9 dwells
-    # (69 GB per array).
-    "source.t_c = 2e-12\nsource.t_min = 1e-12\nsource.t_max = 1e-11\n",
-], ids=["dt_twice_t_min", "dwells_far_below_dt"])
-def test_dt_above_t_min_is_refused_before_any_trace(tmp_path, capsys, monkeypatch, lines):
+    # Dwells of 2.9e-20 s on average: 6.9e17 per trace at the default
+    # sim.duration, whose 2e5 samples pass their own charge.
+    "source.t_c = 2e-20\nsource.t_min = 1e-20\nsource.t_max = 1e-19\n",
+    # Subnormal dwells: sim.duration / mean dwell overflows to inf.
+    "source.t_c = 1e-323\nsource.t_min = 5e-324\nsource.t_max = 1.5e-323\n",
+], ids=["t_c_2e-20", "subnormal_t_c"])
+def test_dwells_beyond_memory_are_refused_before_any_trace(tmp_path, capsys, monkeypatch, lines):
+    # 1 PiB of memory, so that the refusal holds on any host.
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 38}
+    monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
     for where in ("hbtsim.cli.simulate_detectors", "hbtsim.pipeline.simulate_detectors"):
         monkeypatch.setattr(where, lambda *args, **kwargs: pytest.fail("a trace was simulated"))
-    path = tmp_path / "coarse.cfg"
+    path = tmp_path / "fast.cfg"
     path.write_text(lines)
     for command in ("simulate", "sweep"):
         assert main([command, "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
-        assert capsys.readouterr().err == "hbt: error: sim.dt: must not exceed source.t_min\n"
+        err = capsys.readouterr().err
+        assert err.startswith("hbt: error: sim.duration, source.t_c: ")
+        assert "phase dwells per trace need more than the 1.05e+06 GiB" in err
 
 
 @pytest.mark.parametrize("lines, field", [
@@ -562,7 +569,7 @@ def test_lost_sweep_worker_is_an_io_error(tmp_path, small_cfg_path, capsys, monk
     assert err == f"hbt: i/o error: the sweep worker for points 2-4 left no readable result ({how})\n"
 
 
-@pytest.mark.parametrize("error", [InsufficientDataError("too few samples"), ConfigError("sim.dt", "too coarse")])
+@pytest.mark.parametrize("error", [InsufficientDataError("too few samples"), ConfigError("sim.duration", "too short")])
 def test_sweep_worker_error_is_that_of_the_serial_sweep(tmp_path, small_cfg_path, capsys, monkeypatch, parent_pid, error):
     job = cli._sweep_point_job
 
@@ -957,6 +964,14 @@ def test_analyze_delays_cost_at_least_their_bound(tmp_path):
     assert (peak(220) - peak(20)) / 200 >= BYTES_PER_DELAY
 
 
+def test_trace_dwells_cost_at_least_their_bound():
+    # 6.9e5 dwells over 2000 samples: the trace's peak is its dwells'.
+    cfg = build_run_config({"source.t_c": 2e-10, "source.t_min": 1e-10, "source.t_max": 1e-9, "sim.duration": 2e-4})
+    dwells = cfg.sim.duration / truncated_dwell_mean(cfg.source)
+    peak = traced_peak(lambda: simulate_detectors(cfg.source, cfg.bench, cfg.sim.duration, cfg.sim.dt, seed=0))
+    assert peak >= BYTES_PER_DWELL * dwells
+
+
 # --- predict / usage ---------------------------------------------------------------
 
 
@@ -1082,6 +1097,25 @@ def test_diagnostics_end_no_command_under_warnings_as_errors(tmp_path):
     assert (done.returncode, done.stderr) == (0, "")
     done = run("sim.duration = 5e-5\n", "predict")
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_dt_above_t_min_is_accepted(tmp_path):
+    # Sample-and-hold drops the levels that hold no sample, and sees the
+    # process at the instants k dt: no rule ties sim.dt to source.t_min.
+    # Here sim.dt = t_c = 10 t_min, so 200 samples.
+    (tmp_path / "run.cfg").write_text("sim.dt = 1e-5\nsim.duration = 2e-3\nsweep.tau_steps = 6\n")
+    src = Path(hbtsim.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in (
+        ["simulate", "--config", "run.cfg", "--out", "traces.csv"],
+        ["analyze", "traces.csv", "--tau-max", "5e-5", "--tau-steps", "6", "--out", "g2.csv"],
+        ["sweep", "--config", "run.cfg", "--workers", "1", "--out", "w1.csv"],
+        ["sweep", "--config", "run.cfg", "--workers", "2", "--out", "w2.csv"],
+    ):
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "hbtsim", *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+    assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 def test_console_main_exits_with_the_code_of_main(tmp_path, monkeypatch):

@@ -7,12 +7,11 @@ from hbtsim import errors
 
 EXAMPLES = [
     errors.DegenerateGeodesicError("antipodal points"),
-    errors.SamplingTooCoarseError("dt exceeds t_min"),
     errors.IncompatibleTracesError("dt differs"),
     errors.OffGridDelayError("tau is off the grid"),
     errors.InsufficientDataError("too few samples"),
     errors.TraceFormatError(7, "expected 2 values"),
-    errors.ConfigError("sim.dt", "must not exceed source.t_min"),
+    errors.ConfigError("sweep.tau_max", "tau=5e-05 exceeds half the record length"),
 ]
 
 

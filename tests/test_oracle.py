@@ -9,7 +9,6 @@ from hbtsim.oracle import (
     audit_survivor_sum,
     predict_g2_cross,
     predict_g2_self,
-    predict_intensity,
     solid_angle_of_setup,
     term_audit,
 )
@@ -70,16 +69,6 @@ def test_predict_self_examples():
     assert predict_g2_self(0.25) == pytest.approx(1.32, abs=1e-15)
     with pytest.raises(ValueError):
         predict_g2_self(0.0)
-
-
-def test_predict_intensity():
-    assert predict_intensity(1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-    assert predict_intensity(1.0, 0.0) == pytest.approx(0.25, abs=1e-15)
-    assert predict_intensity(2.0, 2.0) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        predict_intensity(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        predict_intensity(math.nan, 1.0)
 
 
 def test_predictions_stay_in_band():

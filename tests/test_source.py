@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from hbtsim.cli import build_run_config
 from hbtsim.correlate import first_order_coherence
-from hbtsim.errors import InsufficientDataError, SamplingTooCoarseError
+from hbtsim.errors import InsufficientDataError
 from hbtsim.source import (
     FieldTrace,
     PhaseNoiseConfig,
@@ -131,17 +131,12 @@ def test_trace_intensity_is_flat():
         assert num / np.mean(intensity) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
-def test_generate_rejects_coarse_dt():
-    with pytest.raises(SamplingTooCoarseError):
-        generate_trace(CFG, 2e-3, 2 * CFG.t_min, np.random.default_rng(0))
-
-
 def test_only_the_run_config_diagnoses_a_short_record():
     # Trace synthesis warns of nothing: a coarse dt or a short record is no
     # error there, and a warning would end a run under -W error.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for dt in (CFG.t_min / 2, CFG.t_min):
+        for dt in (CFG.t_min / 2, CFG.t_min, T_C):
             generate_trace(CFG, 50 * T_C, dt, np.random.default_rng(0))
     (line,) = build_run_config({"sim.duration": 50 * T_C}).diagnostics()
     assert line.startswith("sim.duration: ")
@@ -161,8 +156,11 @@ def per_sample_field(jump_times, levels, n, dt):
     (CFG, 2e-2, 1e-7, 7),
     (CFG, 2e-3, 1e-7, 3),
     (PhaseNoiseConfig(t_c=3e-6, t_min=2e-6, t_max=9e-6), 1.23456789e-3, 1.7e-7, 11),
-    (CFG, 2e-2, CFG.t_min, 5),  # the coarsest dt a config may set
+    (CFG, 2e-2, CFG.t_min, 5),
     (PhaseNoiseConfig(t_c=1e-6, t_min=1e-7, t_max=1e-3), 2e-3, 1e-7, 13),
+    # dt = 3 t_min and t_c: many levels hold no sample and are dropped.
+    (CFG, 2e-2, 3e-6, 17),
+    (CFG, 2e-2, CFG.t_c, 19),
 ])
 def test_trace_is_bitwise_the_per_sample_field(cfg, duration, dt, seed):
     trace = generate_trace(cfg, duration, dt, np.random.default_rng(seed))
