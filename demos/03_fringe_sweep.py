@@ -5,14 +5,14 @@ Sweeps the relative polariser angle phi34, runs the full source -> bench ->
 correlator pipeline at each setting, and compares the estimated zero-delay
 cross correlation with the closed form 1 - cos(phi_d + omega/2)/2, where
 omega = 4*phi34 is the solid angle of the polariser loop.  Then shows the
-fringe washing out with delay: for tau beyond the coherence time the cross
-correlation settles at 1.
+fringe washing out with delay next to its oracle 1 + P(tau)^2 (g2(0) - 1),
+with P the no-jump probability of the sources: for tau beyond the coherence
+time the cross correlation settles at 1.
 """
 
 import math
 
-from hbtsim import BenchConfig, default_source_config, g2_cross, predict_g2_cross
-from hbtsim.oracle import solid_angle_of_setup
+from hbtsim import BenchConfig, default_source_config, g2_cross, no_jump_probability, predict_g2
 from hbtsim.pipeline import simulate_detectors
 
 DURATION = 1e-2  # 1000 coherence times: ~3% error bars, fast demo
@@ -33,7 +33,7 @@ def main():
         bench = BenchConfig(phi3=0.0, phi4=phi34)
         traces = simulate_detectors(src, bench, DURATION, DT, seed=100, point=i)
         est = g2_cross(traces, 0.0)
-        oracle = predict_g2_cross(0.0, solid_angle_of_setup(0.0, phi34))
+        oracle = predict_g2(bench)["cross"]
         print(f"  {math.degrees(phi34):>5.0f}d {est.value:>9.3f} {est.std_error:>7.3f}"
               f" {oracle:>7.3f}   |{bar(est.value)}")
     print()
@@ -44,7 +44,9 @@ def main():
     for k in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
         tau = k * src.t_c
         est = g2_cross(traces, tau)
-        print(f"  tau = {k:>3.1f} t_c   g2_cross = {est.value:.3f} +- {est.std_error:.3f}")
+        oracle = predict_g2(bench, no_jump_probability(src, tau) ** 2)["cross"]
+        print(f"  tau = {k:>3.1f} t_c   g2_cross = {est.value:.3f} +- {est.std_error:.3f}"
+              f"   oracle = {oracle:.3f}")
     print("\nbeyond t_c the correlation sits at 1: the interference is gone,")
     print("but turning the polariser can never wash it out at tau = 0.")
 

@@ -38,6 +38,8 @@ from .errors import (
 from .oracle import (
     AuditTerm,
     audit_survivor_sum,
+    no_jump_probability,
+    predict_g2,
     predict_g2_cross,
     predict_g2_self,
     solid_angle_of_setup,

@@ -24,19 +24,13 @@ import numpy as np
 from .bench import BenchConfig, DetectorTraces, mean_intensity
 from .bench import load_detector_traces, save_detector_traces
 from .correlate import SCAN_KINDS, CorrelationResult, delay_lag, scan
-# The benchmark's tracer patches this name (ROADMAP item 4); nothing here
-# calls it.
+# Patched by the benchmark's tracer (ROADMAP item 4); nothing here calls them.
 from .correlate import g2_delay_scan  # noqa: F401
+from .oracle import predict_g2_cross, predict_g2_self  # noqa: F401
 from .csvutil import fmt_float as _fmt
 from .csvutil import write_csv
 from .errors import ConfigError, OffGridDelayError
-from .oracle import (
-    audit_survivor_sum,
-    predict_g2_cross,
-    predict_g2_self,
-    solid_angle_of_setup,
-    term_audit,
-)
+from .oracle import audit_survivor_sum, no_jump_probability, predict_g2, solid_angle_of_setup, term_audit
 from .pipeline import PointEstimates, estimate_point, simulate_detectors
 from .source import PhaseNoiseConfig, default_source_config, truncated_dwell_mean
 
@@ -199,8 +193,8 @@ CONFIG_KEYS = _config_keys()
 
 
 def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunConfig:
-    """The config of a file, with ``overrides`` (parsed, by key) winning,
-    validated (``RunConfig.validate``)."""
+    """The config of a file, with ``overrides`` (parsed, by key) winning; the
+    record checks (``RunConfig.validate``) are the record commands' own."""
     values: dict[str, object] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -225,8 +219,8 @@ def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunCo
 
 
 def build_run_config(values: dict[str, object]) -> RunConfig:
-    """The default config with ``values`` (parsed, by ``section.key``) set,
-    validated (``RunConfig.validate``)."""
+    """The default config with ``values`` (parsed, by ``section.key``) set;
+    ``RunConfig.validate`` is not run."""
     base = default_run_config()
     sections = {}
     for section in fields(base):
@@ -237,9 +231,7 @@ def build_run_config(values: dict[str, object]) -> RunConfig:
             })
         except ValueError as exc:
             raise ConfigError(section.name, str(exc)) from None
-    cfg = RunConfig(**sections)
-    cfg.validate()
-    return cfg
+    return RunConfig(**sections)
 
 
 def _load_config(args) -> RunConfig:
@@ -247,6 +239,7 @@ def _load_config(args) -> RunConfig:
     overrides = {} if seed is None else {"sim.seed": seed}
     cfg = parse_config_file(args.config, overrides) if args.config else build_run_config(overrides)
     if args.command != "predict":  # the commands that run the sources, before they do
+        cfg.validate()
         sys.stderr.writelines(f"hbt: warning: {line}\n" for line in cfg.diagnostics())
     return cfg
 
@@ -436,15 +429,16 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
 
 
 def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:
+    """The sweep's rows, each with the oracle (``predict_g2``) at its delay."""
     rows = []
-    oracle_self = predict_g2_self(cfg.bench.balance)
+    p2s = [no_jump_probability(cfg.source, tau) ** 2 for tau in points[0].taus] if points else []
     for pt in points:
-        omega = solid_angle_of_setup(cfg.bench.phi3, cfg.bench.phi3 + pt.phi34)
-        oracle_cross = predict_g2_cross(cfg.bench.phi_d, omega, cfg.bench.balance)
+        bench = replace(cfg.bench, phi4=cfg.bench.phi3 + pt.phi34)
         scans = [getattr(pt, f"g2_{kind}") for kind in SCAN_KINDS]
-        for it, tau in enumerate(pt.taus):
+        for it, (tau, p2) in enumerate(zip(pt.taus, p2s)):
             cells = _g2_cells(tau, [scan[it] for scan in scans], pt.i3_mean, pt.i4_mean)
-            rows.append([_fmt(pt.phi34), *cells, _fmt(oracle_cross), _fmt(oracle_self)])
+            oracle = predict_g2(bench, p2)
+            rows.append([_fmt(pt.phi34), *cells, _fmt(oracle["cross"]), _fmt(oracle["self3"])])
     return rows
 
 
@@ -481,6 +475,7 @@ def predict_report(bench: BenchConfig) -> str:
     """The closed forms and the term audit of one bench setting."""
     with naming("bench.phi3, bench.phi4"):
         omega = solid_angle_of_setup(bench.phi3, bench.phi4)
+    oracle = predict_g2(bench)
     terms = term_audit(bench)
     n_zero = sum(1 for t in terms if t.value == 0)
     lines = [
@@ -489,8 +484,8 @@ def predict_report(bench: BenchConfig) -> str:
         f"phi_d   = {bench.phi_d:.9g} rad",
         f"omega   = {omega:.9g} sr   (solid angle of the R-4-L-3 polariser loop)",
         f"phi_g   = {omega / 2.0:.9g} rad  (geometric phase, omega/2)",
-        f"g2_cross(tau=0) = {predict_g2_cross(bench.phi_d, omega, bench.balance):.9g}",
-        f"g2_self(tau=0)  = {predict_g2_self(bench.balance):.9g}",
+        f"g2_cross(tau=0) = {oracle['cross']:.9g}",
+        f"g2_self(tau=0)  = {oracle['self3']:.9g}",
         "mean intensity  = 0.25 * (<I1> + <I2>) at each detector",
         "",
         "term audit (16 terms; * marks survivors):",

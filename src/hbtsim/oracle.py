@@ -11,6 +11,11 @@ the visibility V = 4b/(1+b)^2 of the intensity ratio b = <I2>/<I1>
                                                       cancels in <I_i I_i>)
     <I_i>       = (<I1> + <I2>) / 4
 
+A field keeps its phase across a delay tau only while it does not jump, so
+every interference term carries P(tau)^2, ``P`` the no-jump probability of
+the renewal process of the dwells (``no_jump_probability``; Cox, *Renewal
+Theory*, 1962), and every kind reads 1 + P(tau)^2 (g2(0) - 1) (``predict_g2``).
+
 ``term_audit`` expands the 16-term product behind the cross correlation and
 evaluates every coefficient from ``bench.amplitudes``, the table that
 ``bench.propagate`` reads and that books ``phi_d`` on the S2 -> D3 path:
@@ -27,6 +32,7 @@ from itertools import product
 
 from .bench import EPSILON_3, EPSILON_4, BenchConfig, amplitudes
 from .poincare import _wrap_pm_two_pi
+from .source import PhaseNoiseConfig, truncated_dwell_mean
 
 
 def solid_angle_of_setup(phi3: float, phi4: float) -> float:
@@ -45,7 +51,10 @@ def visibility(balance: float) -> float:
     """Fringe visibility 4b/(1+b)^2 of sources with intensity ratio b; 1 at b = 1."""
     if not (math.isfinite(balance) and balance > 0.0):
         raise ValueError("balance must be finite and > 0")
-    return 4.0 * balance / (1.0 + balance) ** 2
+    try:
+        return 4.0 * balance / (1.0 + balance) ** 2
+    except OverflowError:  # (1 + b)^2 above the largest float; V(b) = V(1/b)
+        return visibility(1.0 / balance)
 
 
 def predict_g2_cross(phi_d: float, omega: float, balance: float = 1.0) -> float:
@@ -58,6 +67,25 @@ def predict_g2_cross(phi_d: float, omega: float, balance: float = 1.0) -> float:
 def predict_g2_self(balance: float = 1.0) -> float:
     """Zero-delay self correlation 1 + V/2: no loop, so no phase term."""
     return 1.0 + 0.5 * visibility(balance)
+
+
+def no_jump_probability(source: PhaseNoiseConfig, tau: float) -> float:
+    """P(tau) = 1 - (1/mu) int_0^tau S(u) du, tau >= 0: the chance that a field holds its phase
+    across ``tau``, S the survival of a dwell and mu its mean.  P(0) = 1 exactly; 0 from t_max."""
+    a, b, tc = source.t_min, source.t_max, source.t_c
+    if tau >= b:
+        return 0.0
+    m, floor = max(tau, a), math.exp(-b / tc)  # S = 1 below a, (e^{-u/t_c} - floor) / (e^{-a/t_c} - floor) above
+    held = min(tau, a) + (tc * (math.exp(-a / tc) - math.exp(-m / tc)) - (m - a) * floor) / (math.exp(-a / tc) - floor)
+    return max(1.0 - held / truncated_dwell_mean(source), 0.0)
+
+
+def predict_g2(bench: BenchConfig, p2: float = 1.0) -> dict[str, float]:
+    """Every kind by ``SCAN_KINDS`` name, 1 + p2 (g2(0) - 1) at ``p2`` = P(tau)^2: the direct terms
+    sum to <I_a><I_b>, every other survivor carries p2.  p2 = 1 gives the closed forms bit for bit."""
+    cross = predict_g2_cross(bench.phi_d, solid_angle_of_setup(bench.phi3, bench.phi4), bench.balance)
+    self_ = predict_g2_self(bench.balance)
+    return {kind: 1.0 + p2 * (g - 1.0) for kind, g in (("cross", cross), ("self3", self_), ("self4", self_))}
 
 
 @dataclass(frozen=True)

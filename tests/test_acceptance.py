@@ -12,9 +12,11 @@ from scipy import stats
 
 from hbtsim.bench import BenchConfig, DetectorTraces
 from hbtsim.cli import main
-from hbtsim.correlate import first_order_coherence, g2_cross, g2_self
+from hbtsim.correlate import SCAN_KINDS, first_order_coherence, g2_cross, g2_self, scan
 from hbtsim.oracle import (
     audit_survivor_sum,
+    no_jump_probability,
+    predict_g2,
     predict_g2_cross,
     solid_angle_of_setup,
     term_audit,
@@ -104,20 +106,34 @@ def test_criterion_4_mean_intensity_flat(zero_delay_sweep):
 
 
 def test_criterion_5_decoherence_limit():
+    # Every kind at 11 delays from 0 to 5 t_c against its oracle
+    # 1 + P(tau)^2 (g2(0) - 1), row by row.  A z divides by a standard error
+    # from 20 batch means, so under the oracle it follows Student's t with
+    # 19 dof.  Bounds: every |z| below the t_19 quantile of two-sided
+    # p = 1e-5 (330 cells: at most 0.33 % false failures), and the mean of
+    # the 10 per-seed mean z (the cells of one record are correlated, the
+    # records are not) within the t_9 quantile of two-sided p = 1e-3 of its
+    # standard error.  Expected false-failure rate: at most 0.43 %.
     bench = BenchConfig(phi3=0.0, phi4=math.pi / 2)
-    amp0, amp1, tail = [], [], []
+    taus = [k * T_C / 2 for k in range(11)]
+    oracles = [predict_g2(bench, no_jump_probability(SRC, tau) ** 2) for tau in taus]
+    z = []
     for seed in range(10):
         traces = simulate_detectors(SRC, bench, 2e-2, 1e-7, seed=seed)
-        amp0.append(abs(g2_cross(traces, 0.0).value - 1.0))
-        amp1.append(abs(g2_cross(traces, T_C).value - 1.0))
-        tail.append(g2_cross(traces, 5 * T_C).value)
-    mean_tail = float(np.mean(tail))
-    ok = abs(mean_tail - 1.0) <= 0.05 and float(np.mean(amp1)) < float(np.mean(amp0))
+        z.append([(r.value - oracle[kind]) / r.std_error
+                  for kind, results in zip(SCAN_KINDS, scan(traces, taus))
+                  for r, oracle in zip(results, oracles)])
+    z = np.array(z)
+    per_seed = z.mean(axis=1)
+    cell_bound = stats.t.isf(0.5e-5, 19)
+    mean_bound = stats.t.isf(0.5e-3, 9) * per_seed.std(ddof=1) / math.sqrt(len(per_seed))
+    ok = np.abs(z).max() < cell_bound and abs(per_seed.mean()) < mean_bound
     report(
         5,
-        "fringe dies beyond the coherence time",
+        "fringe dies as P(tau)^2 beyond the coherence time",
         ok,
-        f"g2(5Tc)={mean_tail:.4f} amp(0)={np.mean(amp0):.3f} amp(Tc)={np.mean(amp1):.3f}",
+        f"max|z|={np.abs(z).max():.2f}<{cell_bound:.2f} mean z={per_seed.mean():+.3f} (bound {mean_bound:.3f})"
+        f" oracle cross {oracles[0]['cross']:.3f} at 0 -> {oracles[-1]['cross']:.4f} at 5Tc",
     )
 
 

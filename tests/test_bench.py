@@ -16,10 +16,10 @@ from hbtsim.bench import (
 from hbtsim.correlate import SCAN_KINDS, g2_self, scan
 from hbtsim.csvutil import IO_BLOCK, write_csv
 from hbtsim.errors import IncompatibleTracesError, TraceFormatError
-from hbtsim.oracle import predict_g2_cross, predict_g2_self, solid_angle_of_setup
+from hbtsim.oracle import no_jump_probability, predict_g2
 from hbtsim.pipeline import simulate_detectors
 from hbtsim.poincare import linear_state, projector_of
-from hbtsim.source import FieldTrace, default_source_config, generate_trace, truncated_dwell_mean
+from hbtsim.source import FieldTrace, default_source_config, generate_trace
 
 SRC = default_source_config()
 
@@ -263,29 +263,12 @@ def test_every_kind_agrees_with_oracle_at_random_phases():
         balance = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
         cfg = BenchConfig(phi3=phi3, phi4=phi3 + phi34, phi_d=phi_d, balance=balance)
         traces = simulate_detectors(SRC, cfg, 2e-2, 1e-7, seed=seed)
-        oracle = {
-            "cross": predict_g2_cross(phi_d, solid_angle_of_setup(cfg.phi3, cfg.phi4), balance),
-            "self3": predict_g2_self(balance),
-            "self4": predict_g2_self(balance),
-        }
+        oracle = predict_g2(cfg)
         for kind, (result,) in zip(SCAN_KINDS, scan(traces, [0.0])):
             z = (result.value - oracle[kind]) / result.std_error
             assert abs(z) < 5.0, (kind, seed, result.value, oracle[kind])
         for which in (3, 4):
             assert abs(mean_intensity(traces, which) / ((1.0 + balance) / 4.0) - 1.0) < 0.1
-
-
-def no_jump_probability(config, tau):
-    """P(tau): the chance that a stationary field holds its phase across a
-    delay tau, (1/mu) times the integral of the dwell survival from tau to
-    infinity (Cox, *Renewal Theory*, 1962), in closed form."""
-    a, b, tc = config.t_min, config.t_max, config.t_c
-    if tau >= b:
-        return 0.0
-    m = max(tau, a)
-    z = math.exp(-a / tc) - math.exp(-b / tc)
-    tail = max(a - tau, 0.0) + (tc * (math.exp(-m / tc) - math.exp(-b / tc)) - (b - m) * math.exp(-b / tc)) / z
-    return tail / truncated_dwell_mean(config)
 
 
 @pytest.mark.parametrize("dt", [SRC.t_min, 3 * SRC.t_min, SRC.t_c], ids=["t_min", "3_t_min", "t_c"])
@@ -294,19 +277,13 @@ def test_every_kind_follows_the_no_jump_oracle_at_any_dt(dt):
     # drops only the levels that hold no sample.  So at lag k every kind is
     # 1 + P(k dt)^2 (g2(0) - 1), however many dwells fall between samples.
     cfg = BenchConfig(phi3=0.0, phi4=math.radians(22.5))
-    g2_zero = {
-        "cross": predict_g2_cross(0.0, solid_angle_of_setup(cfg.phi3, cfg.phi4)),
-        "self3": predict_g2_self(),
-        "self4": predict_g2_self(),
-    }
     lags = range(6)
-    p2 = np.array([no_jump_probability(SRC, k * dt) ** 2 for k in lags])
+    oracles = [predict_g2(cfg, no_jump_probability(SRC, k * dt) ** 2) for k in lags]
     z = {kind: [] for kind in SCAN_KINDS}
     for seed in range(12):
         traces = simulate_detectors(SRC, cfg, 2e-2, dt, seed=seed)
         for kind, results in zip(SCAN_KINDS, scan(traces, [k * dt for k in lags])):
-            oracle = 1.0 + p2 * (g2_zero[kind] - 1.0)
-            z[kind].append([(r.value - o) / r.std_error for r, o in zip(results, oracle)])
+            z[kind].append([(r.value - o[kind]) / r.std_error for r, o in zip(results, oracles)])
     for kind, zs in z.items():
         zs = np.array(zs)
         assert np.abs(zs).max() < 5.0, (kind, zs)

@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from hbtsim.cli import (
 )
 from hbtsim.correlate import SCAN_KINDS, g2_cross
 from hbtsim.errors import ConfigError, InsufficientDataError
-from hbtsim.oracle import predict_g2_cross, solid_angle_of_setup
+from hbtsim.oracle import no_jump_probability, predict_g2, predict_g2_cross, solid_angle_of_setup
 from hbtsim.pipeline import simulate_detectors
 from hbtsim.source import truncated_dwell_mean
 
@@ -135,8 +136,10 @@ def test_oversized_config_rejected_before_allocating(tmp_path, monkeypatch, line
     monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
     path = tmp_path / "big.cfg"
     path.write_text(line + "\n")
+    cfg = parse_config_file(path)
     with pytest.raises(ConfigError, match="physical memory") as info:
-        sweep_grids(parse_config_file(path))
+        cfg.validate()
+        sweep_grids(cfg)
     assert field in info.value.field
 
 
@@ -260,6 +263,38 @@ def test_dwells_beyond_memory_are_refused_before_any_trace(tmp_path, capsys, mon
         err = capsys.readouterr().err
         assert err.startswith("hbt: error: sim.duration, source.t_c: ")
         assert "phase dwells per trace need more than the 1.05e+06 GiB" in err
+
+
+RECORDS_BEYOND_MEMORY = pytest.mark.parametrize("lines", [
+    "sim.duration = 1e4\n",  # 1e11 samples
+    "source.t_c = 2e-20\nsource.t_min = 1e-20\nsource.t_max = 1e-19\n",  # 6.9e17 dwells
+], ids=["duration_1e4", "t_c_2e-20"])
+
+
+@RECORDS_BEYOND_MEMORY
+def test_predict_is_not_charged_for_a_record(tmp_path, capsys, monkeypatch, lines):
+    # predict makes no trace: a config whose record would not fit in 16 GiB
+    # prints what the defaults print.
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 22}
+    monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
+    assert main(["predict"]) == 0
+    default = capsys.readouterr().out
+    path = tmp_path / "long.cfg"
+    path.write_text(lines)
+    assert main(["predict", "--config", str(path)]) == 0
+    assert capsys.readouterr() == (default, "")
+
+
+@RECORDS_BEYOND_MEMORY
+def test_simulate_is_charged_for_a_record_that_predict_is_not(tmp_path, capsys, monkeypatch, lines):
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 22}
+    monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
+    monkeypatch.setattr("hbtsim.cli.simulate_detectors", lambda *args, **kwargs: pytest.fail("simulate ran"))
+    path = tmp_path / "long.cfg"
+    path.write_text(lines)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
+    assert "need more than the 16 GiB of physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "o.csv").exists()
 
 
 @pytest.mark.parametrize("lines, field", [
@@ -624,7 +659,7 @@ def test_no_sweep_worker_outlives_a_failed_sweep(small_cfg_path, monkeypatch, pa
 
 
 def test_sweep_tracks_oracle(zero_delay_sweep, tmp_path):
-    from hbtsim.cli import sweep_rows
+    from hbtsim.cli import run_sweep, sweep_rows
 
     rows = sweep_rows(zero_delay_sweep.cfg, zero_delay_sweep.points)
     devs, residuals = [], []
@@ -636,6 +671,22 @@ def test_sweep_tracks_oracle(zero_delay_sweep, tmp_path):
     assert max(devs) < 5.0
     assert sum(1 for d in devs if d > 3.0) <= 1
     assert math.sqrt(np.mean(np.square(residuals))) < 0.03
+
+    # On the default delay grid each row's oracle is predict_g2 at its
+    # delay, and every kind sits within its error bars of it (a z follows
+    # Student's t with 19 dof: |z| > 6 has p = 9e-6 per cell).
+    cfg = default_run_config()
+    z = []
+    for row in sweep_rows(cfg, run_sweep(cfg)):
+        phi34, tau, *cells = map(float, row)
+        bench = replace(cfg.bench, phi4=cfg.bench.phi3 + phi34)
+        oracle = predict_g2(bench, no_jump_probability(cfg.source, tau) ** 2)
+        assert cells[8:] == [oracle["cross"], oracle["self3"]]
+        z += [(cells[0] - oracle["cross"]) / cells[1], (cells[2] - oracle["self3"]) / cells[3],
+              (cells[4] - oracle["self4"]) / cells[5]]
+    assert len(z) == 13 * 11 * 3
+    assert np.abs(z).max() < 6.0
+    assert abs(np.mean(z)) < 0.2 and 0.8 < np.std(z) < 1.3
 
 
 def test_unbalanced_sweep_tracks_oracle(tmp_path):
@@ -710,17 +761,21 @@ def test_simulate_and_analyze_bytes_are_pinned(tmp_path, lines, simulate_digest,
 
 
 # SHA-256 of `hbt sweep --seed 7` at sim.duration = 2e-3, on the default
-# delay grid and at zero delay with three repeats (numpy 2.4, x86-64), as
-# written since the batch errors come from one window-centred product per
-# kind: 338 of 1716 and 29 of 156 cells moved, by at most 8.3e-16 relative.
-# The "unbalanced_repeats" bytes, on the default delay grid, are those
-# written before the lag merge took one count per lag.
+# delay grid and at zero delay with three repeats (numpy 2.4, x86-64).  The
+# "zero_delay" bytes are those written since the batch errors come from one
+# window-centred product per kind (29 of 156 cells moved then, by at most
+# 8.3e-16 relative).  The two digests on the default delay grid moved when
+# the oracle columns became per row (``oracle.predict_g2`` at P(tau)^2):
+# only the two oracle cells of the tau > 0 rows changed (130 rows each; in
+# "unbalanced_repeats" the cross cell of the 50 rows where the fringe sits
+# at 1 kept its bytes), while every estimate cell and every tau = 0 row kept
+# its bytes.
 GOLDEN_SWEEP_DIGESTS = {
-    "default": ("", "adf56eeb537de191bdf22e3ce003faf8daa3b7f170ac4b9876dbb6b3f9d67974"),
+    "default": ("", "82ee3b2396747d3a64a495db58cd7fb63ab502e93b73396a4adfa5915a414e31"),
     "zero_delay": ("sim.repeats = 3\nsweep.tau_max = 0\nsweep.tau_steps = 1\n",
                    "2ca61034687b030066d37de7a034e40e1f9a581b2a55e4f6a71913c4083a0f27"),
     "unbalanced_repeats": ("bench.phi_d = 90 deg\nbench.balance = 0.5\nsim.repeats = 2\n",
-                           "e9cb302e1d9cd90ac5994b7cc3a171126d5bbeceffb12c6d926d8f9e53af088d"),
+                           "f3588453bfa84b18d732395b1fb51ef7b2f8c7fb85f4a5792272852a9178ec74"),
 }
 
 

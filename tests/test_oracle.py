@@ -4,13 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from hbtsim.bench import BenchConfig
+from hbtsim.bench import BenchConfig, amplitudes
+from hbtsim.correlate import first_order_coherence
 from hbtsim.oracle import (
     audit_survivor_sum,
+    no_jump_probability,
+    predict_g2,
     predict_g2_cross,
     predict_g2_self,
     solid_angle_of_setup,
     term_audit,
+    visibility,
 )
 from hbtsim.poincare import (
     LEFT_CIRCULAR,
@@ -20,6 +24,9 @@ from hbtsim.poincare import (
     projector_of,
     to_sphere,
 )
+from hbtsim.source import PhaseNoiseConfig, default_source_config, generate_trace
+
+SRC = default_source_config()
 
 
 def wrap_diff(a, b, period):
@@ -157,3 +164,108 @@ def test_audit_geometric_terms_match_projector_chain():
         assert wrap_diff(fwd.phase, target, 2 * math.pi) < 1e-9
         assert wrap_diff(rev.phase, -target, 2 * math.pi) < 1e-9
         assert fwd.sign == rev.sign == -1
+
+
+def random_sources(count, seed):
+    """Sources with t_c from 1 ns to 1 ms and t_min, t_max up to three
+    decades from it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t_c = 10 ** rng.uniform(-9, -3)
+        yield PhaseNoiseConfig(t_c=t_c, t_min=t_c * 10 ** rng.uniform(-3, -0.01),
+                               t_max=t_c * 10 ** rng.uniform(0.01, 3))
+
+
+def test_no_jump_probability_is_one_at_zero_delay():
+    assert all(no_jump_probability(source, 0.0) == 1.0 for source in random_sources(20000, 31))
+
+
+def test_no_jump_probability_vanishes_from_t_max():
+    for source in random_sources(200, 37):
+        t_max = source.t_max
+        for tau in (t_max, math.nextafter(t_max, math.inf), 2 * t_max, 1e300, math.inf):
+            assert no_jump_probability(source, tau) == 0.0
+        assert no_jump_probability(source, math.nextafter(t_max, 0.0)) >= 0.0
+
+
+def test_no_jump_probability_does_not_increase():
+    for source in (SRC, *random_sources(300, 41)):
+        p = np.array([no_jump_probability(source, tau) for tau in np.linspace(0.0, 1.05 * source.t_max, 500)])
+        # 1 - F rounds to about one ulp of 1 where P itself is tiny.
+        assert np.diff(p).max() <= (0.0 if source is SRC else 2.3e-16), source
+        assert p.min() >= 0.0
+
+
+def test_no_jump_probability_is_the_tail_integral_of_the_dwell_survival():
+    # Cox's form (1/mu) int_tau^inf S(u) du, with S the survival of the
+    # truncated exponential and mu = int_0^inf S, integrated numerically in
+    # units of t_c.
+    from scipy.integrate import quad
+
+    def survival(x, a, b):
+        if x < a:
+            return 1.0
+        return (math.exp(-x) - math.exp(-b)) / (math.exp(-a) - math.exp(-b)) if x < b else 0.0
+
+    for source in (SRC, *random_sources(20, 43)):
+        a, b = source.t_min / source.t_c, source.t_max / source.t_c
+
+        def tail(x):
+            breaks = [x, *(p for p in (a,) if p > x), b]
+            return sum(quad(survival, lo, hi, args=(a, b), epsabs=0.0, epsrel=1e-12)[0]
+                       for lo, hi in zip(breaks, breaks[1:]))
+
+        mu = tail(0.0)
+        for x in np.linspace(0.0, b, 23):
+            assert no_jump_probability(source, x * source.t_c) == pytest.approx(tail(x) / mu, abs=1e-12)
+
+
+def test_field_coherence_follows_the_no_jump_probability():
+    # E[g1(tau)] = P(tau): a jump draws a fresh uniform phase.  z of the
+    # mean over 20 records against its standard error.
+    taus = [k * 1e-7 for k in (0, 20, 50, 100, 200, 400, 700, 1000)]
+    g1 = np.array([[first_order_coherence(generate_trace(SRC, 2e-2, 1e-7, np.random.default_rng(seed)), tau).real
+                    for tau in taus] for seed in range(20)])
+    assert np.all(g1[:, 0] == 1.0)
+    z = (g1[:, 1:].mean(axis=0) - [no_jump_probability(SRC, tau) for tau in taus[1:]]) / (
+        g1[:, 1:].std(axis=0, ddof=1) / math.sqrt(len(g1)))
+    assert np.abs(z).max() < 4.0, z
+
+
+def random_benches(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        phi3, phi34, phi_d = rng.uniform(-math.pi, math.pi, 3)
+        yield BenchConfig(phi3, phi3 + phi34, phi_d, math.exp(rng.uniform(math.log(0.01), math.log(100.0))))
+
+
+def test_predict_g2_at_zero_delay_is_the_closed_forms_bit_for_bit():
+    grid = [BenchConfig(0.0, phi34) for phi34 in np.linspace(0.0, 2 * math.pi, 13)]
+    for bench in (*grid, *random_benches(2000, 47)):
+        cross = predict_g2_cross(bench.phi_d, solid_angle_of_setup(bench.phi3, bench.phi4), bench.balance)
+        self_ = predict_g2_self(bench.balance)
+        assert predict_g2(bench) == {"cross": cross, "self3": self_, "self4": self_}
+
+
+def test_predict_g2_is_the_moment_formula_of_the_amplitudes():
+    # G_ab = <I_a><I_b> + p2 sum_{j != k} conj(A_aj) A_ak conj(A_bk) A_bj:
+    # the direct terms do not decay, the interference terms carry P^2.
+    rng = np.random.default_rng(53)
+    detector = {"cross": (0, 1), "self3": (0, 0), "self4": (1, 1)}
+    for bench in random_benches(200, 59):
+        p2 = rng.uniform()
+        table = amplitudes(bench)
+        power = (abs(table) ** 2).sum(axis=1)
+        for kind, value in predict_g2(bench, p2).items():
+            a, b = detector[kind]
+            beat = sum(table[a, j].conjugate() * table[a, k] * table[b, k].conjugate() * table[b, j]
+                       for j, k in ((0, 1), (1, 0)))
+            assert value == pytest.approx(1.0 + p2 * beat.real / (power[a] * power[b]), abs=1e-12)
+    assert predict_g2(BenchConfig(0.0, 0.3), 0.0) == dict.fromkeys(("cross", "self3", "self4"), 1.0)
+
+
+def test_visibility_of_a_balance_whose_square_overflows():
+    # (1 + b)^2 is above the largest float from b = 1.35e154; V(b) = V(1/b).
+    for balance in (1.35e154, 1e300, 1.7e308):
+        assert visibility(balance) == pytest.approx(4.0 / balance, rel=1e-15)
+    assert predict_g2(BenchConfig(0.0, 0.0, balance=1e300)) == dict.fromkeys(("cross", "self3", "self4"), 1.0)
