@@ -12,8 +12,8 @@ source ``j`` at detector ``a``:
 
 The dynamical phase ``phi_d`` rides the S2 -> D3 path only, so the loop
 S1 -> D3, S2 -> D3, S2 -> D4, S1 -> D4 closed by the cross correlation
-carries it and no self correlation sees it.  ``propagate`` and
-``oracle.term_audit`` both read this table.
+carries it and no self correlation sees it.  ``propagate``,
+``oracle.predict_g2`` and ``oracle.term_audit`` all read this table.
 
 Detector traces, like source traces, are stored as runs of equal samples
 and built only from them, as ``DetectorTraces(dt, n, starts, values)``:

@@ -429,16 +429,16 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
 
 
 def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:
-    """The sweep's rows, each with the oracle (``predict_g2``) at its delay."""
+    """The sweep's rows, each with the oracle (``predict_g2``) at its delay:
+    one oracle call per point, over the whole delay grid."""
     rows = []
-    p2s = [no_jump_probability(cfg.source, tau) ** 2 for tau in points[0].taus] if points else []
+    p2s = np.array([no_jump_probability(cfg.source, tau) ** 2 for tau in points[0].taus]) if points else []
     for pt in points:
-        bench = replace(cfg.bench, phi4=cfg.bench.phi3 + pt.phi34)
+        oracle = predict_g2(replace(cfg.bench, phi4=cfg.bench.phi3 + pt.phi34), p2s)
         scans = [getattr(pt, f"g2_{kind}") for kind in SCAN_KINDS]
-        for it, (tau, p2) in enumerate(zip(pt.taus, p2s)):
+        for it, (tau, cross, self_) in enumerate(zip(pt.taus, oracle["cross"].tolist(), oracle["self3"].tolist())):
             cells = _g2_cells(tau, [scan[it] for scan in scans], pt.i3_mean, pt.i4_mean)
-            oracle = predict_g2(bench, p2)
-            rows.append([_fmt(pt.phi34), *cells, _fmt(oracle["cross"]), _fmt(oracle["self3"])])
+            rows.append([_fmt(pt.phi34), *cells, _fmt(cross), _fmt(self_)])
     return rows
 
 

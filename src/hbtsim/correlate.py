@@ -81,9 +81,10 @@ from .bench import DetectorTraces, detector_column
 from .errors import InsufficientDataError, OffGridDelayError
 from .source import FieldTrace, merge_starts
 
-# The (x, y) columns of ``DetectorTraces.values`` that each g2 kind reads.
-_KIND_COLUMNS = {"cross": (0, 1), "self3": (0, 0), "self4": (1, 1)}
-SCAN_KINDS = tuple(_KIND_COLUMNS)
+# The (x, y) columns of ``DetectorTraces.values``, and rows of
+# ``bench.amplitudes``, that each g2 kind reads (``oracle.predict_g2`` too).
+KIND_COLUMNS = {"cross": (0, 1), "self3": (0, 0), "self4": (1, 1)}
+SCAN_KINDS = tuple(KIND_COLUMNS)
 N_BATCHES = 20
 
 
@@ -166,10 +167,10 @@ def scan(
     and ``self4`` a detector with itself.  The module docstring says how
     the lags and kinds share their work and memory.
     """
-    unknown = [kind for kind in kinds if kind not in _KIND_COLUMNS]
+    unknown = [kind for kind in kinds if kind not in KIND_COLUMNS]
     if unknown:
         raise ValueError(f"unknown scan kind {unknown[0]!r}; expected one of {SCAN_KINDS}")
-    pairs = [_KIND_COLUMNS[kind] for kind in kinds]
+    pairs = [KIND_COLUMNS[kind] for kind in kinds]
     lags = [delay_lag(tau, traces.dt, traces.n) for tau in taus]
     columns = tuple(traces.values.T)  # I3 and I4 per run
     batch_vals = np.empty((len(lags), len(pairs), N_BATCHES))

@@ -1,27 +1,33 @@
-"""Closed-form predictions for the bench observables.
+"""Predictions for the bench observables, read from the bench's amplitude table.
 
-For phase-incoherent constant-modulus sources, the zero-delay correlations
-depend only on the dynamical phase ``phi_d``, the solid angle ``omega``
-enclosed on the Poincaré sphere by the polariser loop R -> 4 -> L -> 3, and
-the visibility V = 4b/(1+b)^2 of the intensity ratio b = <I2>/<I1>
-(``bench.balance``; V = 1 for equal intensities):
+With unit-modulus sources of relative phase psi, detector ``a`` reads
+I_a = c_a + 2 Re(d_a e^{i psi}), A = ``bench.amplitudes``, c_a = sum_j
+|A_aj|^2 and d_a = conj(A_a1) A_a2.  Averaging over psi gives every kind
+of ``correlate.KIND_COLUMNS`` (Mandel & Wolf, *Optical Coherence and
+Quantum Optics*, 1995, ch. 7-9), each detector normalised by its own c_a:
+
+    g2_ab(tau) = 1 + 2 p2 Re(r_a conj(r_b)),   r_a = d_a / c_a   (``predict_g2``)
+
+A field keeps its phase across a delay tau only while it does not jump, so
+every interference term carries p2 = P(tau)^2, ``P`` the no-jump
+probability of the renewal process of the dwells (``no_jump_probability``;
+Cox, *Renewal Theory*, 1962).
+
+For this bench the zero-delay values are the paper's closed forms in the
+dynamical phase ``phi_d``, the solid angle ``omega`` enclosed on the
+Poincaré sphere by the polariser loop R -> 4 -> L -> 3, and the visibility
+V = 4b/(1+b)^2 of the intensity ratio b = <I2>/<I1> (``bench.balance``).
+``predict_g2_cross`` and ``predict_g2_self`` state them as a reference:
 
     g2_cross(0) = 1 - V cos(phi_d + omega/2) / 2     (fringe, 1 -+ V/2)
     g2_self(0)  = 1 + V / 2                          (no loop: a static phase
                                                       cancels in <I_i I_i>)
     <I_i>       = (<I1> + <I2>) / 4
 
-A field keeps its phase across a delay tau only while it does not jump, so
-every interference term carries P(tau)^2, ``P`` the no-jump probability of
-the renewal process of the dwells (``no_jump_probability``; Cox, *Renewal
-Theory*, 1962), and every kind reads 1 + P(tau)^2 (g2(0) - 1) (``predict_g2``).
-
-``term_audit`` expands the 16-term product behind the cross correlation and
-evaluates every coefficient from ``bench.amplitudes``, the table that
-``bench.propagate`` reads and that books ``phi_d`` on the S2 -> D3 path:
-10 terms average to zero, four direct terms sum to 1 (1/4 each at balance
-1), and the two geometric terms carry V/4 each at the phase
-+-(phi_d + omega/2).
+``term_audit`` expands the cross correlation into 16 terms, each a product
+of the same per-detector ratios: 10 average to zero, four direct terms sum
+to 1 (1/4 each at balance 1, each at phase 0), and the two geometric terms
+carry V/4 each at the phase +-(phi_d + omega/2).
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .bench import EPSILON_3, EPSILON_4, BenchConfig, amplitudes
+from .correlate import KIND_COLUMNS
 from .poincare import _wrap_pm_two_pi
 from .source import PhaseNoiseConfig, truncated_dwell_mean
 
@@ -80,12 +87,23 @@ def no_jump_probability(source: PhaseNoiseConfig, tau: float) -> float:
     return max(1.0 - held / truncated_dwell_mean(source), 0.0)
 
 
-def predict_g2(bench: BenchConfig, p2: float = 1.0) -> dict[str, float]:
-    """Every kind by ``SCAN_KINDS`` name, 1 + p2 (g2(0) - 1) at ``p2`` = P(tau)^2: the direct terms
-    sum to <I_a><I_b>, every other survivor carries p2.  p2 = 1 gives the closed forms bit for bit."""
-    cross = predict_g2_cross(bench.phi_d, solid_angle_of_setup(bench.phi3, bench.phi4), bench.balance)
-    self_ = predict_g2_self(bench.balance)
-    return {kind: 1.0 + p2 * (g - 1.0) for kind, g in (("cross", cross), ("self3", self_), ("self4", self_))}
+def _detector_ratios(bench: BenchConfig) -> list[list[list[complex]]]:
+    """``R[a][j][k]`` = conj(A_aj) A_ak / c_a, ``A = amplitudes(bench)``, c_a = sum_j |A_aj|^2:
+    each detector's field products normalised by its own mean intensity."""
+    ratios = []
+    for row in amplitudes(bench).tolist():
+        c = sum(abs(a) ** 2 for a in row)
+        ratios.append([[aj.conjugate() * ak / c for ak in row] for aj in row])
+    return ratios
+
+
+def predict_g2(bench: BenchConfig, p2=1.0) -> dict:
+    """Every kind by ``SCAN_KINDS`` name, 1 + 2 p2 Re(r_a conj(r_b)) with r_a = d_a / c_a of the
+    detector pair of ``KIND_COLUMNS``, at ``p2`` = P(tau)^2: the direct terms sum to <I_a><I_b>,
+    every other survivor carries p2.  ``p2`` may be a numpy array; each value is then an array
+    with the bits of the scalar call at each of its elements."""
+    r = [detector[0][1] for detector in _detector_ratios(bench)]
+    return {kind: 1.0 + 2.0 * p2 * (r[a] * r[b].conjugate()).real for kind, (a, b) in KIND_COLUMNS.items()}
 
 
 @dataclass(frozen=True)
@@ -115,14 +133,14 @@ def term_audit(bench: BenchConfig) -> list[AuditTerm]:
     Sources are taken mutually phase-incoherent with unit intensity: a term
     survives time averaging only when each source field appears in a
     conjugate pair.  A surviving coefficient is
-    conj(A3j) A3k conj(A4l) A4m / (<I3><I4>) with ``A = bench.amplitudes``
-    of ``bench`` (its balance included) and <I_a> = sum_j |A_aj|^2, so the
-    survivor sum equals the predicted zero-delay cross correlation.  The
-    dynamical phase is booked where ``A`` books it, on the S2 -> D3 path, so
-    the closed two-detector loop carries e^{i phi_d}.
+    (conj(A3j) A3k / c_3)(conj(A4l) A4m / c_4) with ``A = bench.amplitudes``
+    of ``bench`` (its balance included) and c_a = <I_a> = sum_j |A_aj|^2,
+    so the survivor sum equals the predicted zero-delay cross correlation
+    and no product overflows.  The dynamical phase is booked where ``A``
+    books it, on the S2 -> D3 path, so the closed two-detector loop carries
+    e^{i phi_d}.
     """
-    a3, a4 = amplitudes(bench).tolist()
-    norm = sum(abs(a) ** 2 for a in a3) * sum(abs(a) ** 2 for a in a4)
+    r3, r4 = _detector_ratios(bench)
     terms = []
     for j, k, l, m in product((1, 2), repeat=4):
         label = f"D3:E{j}*E{k} D4:E{l}*E{m}"
@@ -130,7 +148,7 @@ def term_audit(bench: BenchConfig) -> list[AuditTerm]:
         if (k == 1) + (m == 1) != (j == 1) + (l == 1):
             terms.append(AuditTerm(label, (j, k), (l, m), "vanishing", sign, 0.0, 0.0, 0j))
             continue
-        value = a3[j - 1].conjugate() * a3[k - 1] * a4[l - 1].conjugate() * a4[m - 1] / norm
+        value = r3[j - 1][k - 1] * r4[l - 1][m - 1]
         kind = "direct" if j == k and l == m else "geometric"
         rotated = value * sign
         phase = math.atan2(rotated.imag, rotated.real)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -131,6 +132,23 @@ def test_audit_sum_reproduces_prediction():
             assert abs(sum(t.value for t in terms).imag) <= 1e-15
 
 
+def test_audit_direct_terms_have_phase_exactly_zero():
+    # conj(A_aj) A_aj / c_a is real, so a product of two is too.
+    for bench in (BenchConfig(0.0, 0.5 * math.pi), *random_benches(500, 23)):
+        direct = [t for t in term_audit(bench) if t.kind == "direct"]
+        assert len(direct) == 4
+        assert all(t.phase == 0.0 and t.value.imag == 0.0 and t.value.real > 0.0 for t in direct), bench
+
+
+def test_audit_is_finite_at_every_finite_balance():
+    # Each detector is normalised by its own c_a, so no product overflows.
+    for balance in (5e-324, 1e-300, 1e154, 1.35e154, 1e300, 1.7e308, sys.float_info.max):
+        bench = BenchConfig(0.3, 1.2, 0.7, balance)
+        terms = term_audit(bench)
+        assert all(math.isfinite(t.magnitude) and math.isfinite(t.phase) for t in terms)
+        assert audit_survivor_sum(terms) == pytest.approx(predict_g2(bench)["cross"], abs=1e-15)
+
+
 def test_audit_direct_terms_are_quarters():
     terms = term_audit(BenchConfig(0.3, 1.2, 0.7))
     direct = [t for t in terms if t.kind == "direct"]
@@ -239,12 +257,30 @@ def random_benches(count, seed):
         yield BenchConfig(phi3, phi3 + phi34, phi_d, math.exp(rng.uniform(math.log(0.01), math.log(100.0))))
 
 
-def test_predict_g2_at_zero_delay_is_the_closed_forms_bit_for_bit():
-    grid = [BenchConfig(0.0, phi34) for phi34 in np.linspace(0.0, 2 * math.pi, 13)]
-    for bench in (*grid, *random_benches(2000, 47)):
+def test_predict_g2_agrees_with_the_papers_closed_forms():
+    # The harmonic form of the amplitude table against the paper's
+    # 1 - V cos(phi_d + omega/2)/2 and 1 + V/2, scaled to 1 + p2 (g2(0) - 1),
+    # on the sweep grid and over 20000 benches (angles in +-7 rad, balance
+    # e^{+-5}, half at random p2).  The two round differently; 1.6e-15 is
+    # the largest difference seen.
+    rng = np.random.default_rng(47)
+    grid = [(BenchConfig(0.0, phi34), 1.0) for phi34 in np.linspace(0.0, 2 * math.pi, 13)]
+    benches = [(BenchConfig(*rng.uniform(-7.0, 7.0, 3), math.exp(rng.uniform(-5.0, 5.0))),
+                rng.uniform() if i % 2 else 1.0) for i in range(20000)]
+    for bench, p2 in (*grid, *benches):
         cross = predict_g2_cross(bench.phi_d, solid_angle_of_setup(bench.phi3, bench.phi4), bench.balance)
         self_ = predict_g2_self(bench.balance)
-        assert predict_g2(bench) == {"cross": cross, "self3": self_, "self4": self_}
+        expected = {"cross": 1.0 + p2 * (cross - 1.0), "self3": 1.0 + p2 * (self_ - 1.0), "self4": 1.0 + p2 * (self_ - 1.0)}
+        got = predict_g2(bench, p2)
+        assert max(abs(got[kind] - expected[kind]) for kind in expected) <= 4e-15, (bench, p2)
+
+
+def test_predict_g2_over_an_array_of_p2_is_the_scalar_calls_bit_for_bit():
+    p2s = np.array([no_jump_probability(SRC, tau) ** 2 for tau in np.linspace(0.0, 5e-5, 11)])
+    for bench in random_benches(50, 61):
+        together = predict_g2(bench, p2s)
+        for kind, values in together.items():
+            assert values.tolist() == [predict_g2(bench, p2)[kind] for p2 in p2s.tolist()]
 
 
 def test_predict_g2_is_the_moment_formula_of_the_amplitudes():
