@@ -15,7 +15,7 @@ import os
 import pickle
 import signal
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .bench import BenchConfig, DetectorTraces, mean_intensity
 from .bench import load_detector_traces, save_detector_traces
-from .correlate import SCAN_KINDS, CorrelationResult, delay_lag, scan
+from .correlate import SCAN_KINDS, delay_lag, scan
 # Patched by the benchmark's tracer (ROADMAP item 4); nothing here calls them.
 from .correlate import g2_delay_scan  # noqa: F401
 from .oracle import predict_g2_cross, predict_g2_self  # noqa: F401
@@ -119,16 +119,18 @@ class RunConfig:
         return round(self.sim.duration / self.sim.dt)
 
 
-# Lower bounds on the bytes per trace sample, phase dwell, sweep row and
-# analyze delay: tracemalloc at the default config measures 3.0-3.5 B per
-# sample in every command (runs, streamed CSVs), plus about 0.15 MB of CSV
-# write blocks in simulate, 1.8 kB per row and 1.3 kB per delay; the peak of
+# Lower bounds on the bytes per trace sample, phase dwell, sweep row,
+# analyze delay and held result: tracemalloc at the default config measures
+# 3.0-3.5 B per sample in every command (runs, streamed CSVs), plus about
+# 0.15 MB of CSV write blocks in simulate, 1.8 kB per row, 1.3 kB per delay
+# and 218-328 B per result of a repeat's scan (101 to 1 delays); the peak of
 # a trace (generate_trace, simulate_detectors) is 37-180 B per dwell
 # wherever the dwells outnumber the samples.
 BYTES_PER_SAMPLE = 2
 BYTES_PER_DWELL = 32
 BYTES_PER_ROW = 1000
 BYTES_PER_DELAY = 500
+BYTES_PER_RESULT = 200
 
 
 def check_fits_in_memory(field: str, count: float, what: str, item_bytes: int) -> None:
@@ -251,12 +253,12 @@ def _g2_columns(kinds) -> list[str]:
     return ["tau_s", *(f"g2_{k}{s}" for k in kinds for s in ("", "_err")), "i3_mean", "i4_mean"]
 
 
-def _g2_cells(tau: float, results: list[CorrelationResult], i3_mean: float, i4_mean: float) -> list[str]:
-    """The cells of one ``_g2_columns`` row."""
-    cells = [_fmt(tau)]
-    for r in results:
-        cells += [_fmt(r.value), _fmt(r.std_error)]
-    return cells + [_fmt(i3_mean), _fmt(i4_mean)]
+def _g2_cells(taus, scans, i3_mean: float, i4_mean: float) -> Iterator[list[str]]:
+    """The cells of the ``_g2_columns`` rows, one row per delay of ``taus``;
+    ``scans`` holds each kind's results over ``taus``."""
+    means = [_fmt(i3_mean), _fmt(i4_mean)]
+    for tau, *results in zip(taus, *scans):
+        yield [_fmt(tau), *(cell for r in results for cell in (_fmt(r.value), _fmt(r.std_error))), *means]
 
 
 SWEEP_COLUMNS = ["phi34_rad", *_g2_columns(SCAN_KINDS), "oracle_g2_cross", "oracle_g2_self"]
@@ -313,6 +315,9 @@ def sweep_grids(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
             raise ConfigError(f"bench.phi3, {key}", "bench.phi3 + phi34 and 4*phi34 must be finite")
     rows = sweep.phi34_steps * sweep.tau_steps
     check_fits_in_memory("sweep.phi34_steps x sweep.tau_steps", rows, "rows", BYTES_PER_ROW)
+    # estimate_point holds every repeat's scan until it combines them.
+    results = cfg.sim.repeats * sweep.tau_steps * len(SCAN_KINDS)
+    check_fits_in_memory("sim.repeats x sweep.tau_steps", results, "results held per point", BYTES_PER_RESULT)
     fields = ("sweep.tau_max", "sweep.tau_steps")
     taus = delay_grid(fields, sweep.tau_max, sweep.tau_steps, cfg.sim.dt, cfg.n_samples)
     return np.linspace(sweep.phi34_start, sweep.phi34_end, sweep.phi34_steps), taus
@@ -429,16 +434,17 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
 
 
 def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:
-    """The sweep's rows, each with the oracle (``predict_g2``) at its delay:
-    one oracle call per point, over the whole delay grid."""
+    """The sweep's rows, each with the oracle (``predict_g2``) of the bench
+    its point ran, at its delay: one oracle call per point, over the whole
+    delay grid."""
     rows = []
     p2s = np.array([no_jump_probability(cfg.source, tau) ** 2 for tau in points[0].taus]) if points else []
     for pt in points:
-        oracle = predict_g2(replace(cfg.bench, phi4=cfg.bench.phi3 + pt.phi34), p2s)
-        scans = [getattr(pt, f"g2_{kind}") for kind in SCAN_KINDS]
-        for it, (tau, cross, self_) in enumerate(zip(pt.taus, oracle["cross"].tolist(), oracle["self3"].tolist())):
-            cells = _g2_cells(tau, [scan[it] for scan in scans], pt.i3_mean, pt.i4_mean)
-            rows.append([_fmt(pt.phi34), *cells, _fmt(cross), _fmt(self_)])
+        oracle = predict_g2(pt.bench, p2s)
+        phi34 = _fmt(pt.bench.phi4 - pt.bench.phi3)
+        cells = _g2_cells(pt.taus, pt.g2.values(), pt.i3_mean, pt.i4_mean)
+        for row, cross, self_ in zip(cells, oracle["cross"].tolist(), oracle["self3"].tolist()):
+            rows.append([phi34, *row, _fmt(cross), _fmt(self_)])
     return rows
 
 
@@ -462,13 +468,8 @@ def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
 
 def cmd_analyze(traces: DetectorTraces, taus, kinds: list[str], out_path) -> None:
     """Run the correlation estimators offline on recorded traces."""
-    scans = scan(traces, taus, kinds)
-    i3_mean, i4_mean = mean_intensity(traces, 3), mean_intensity(traces, 4)
-    rows = (
-        ",".join(_g2_cells(tau, [results[it] for results in scans], i3_mean, i4_mean))
-        for it, tau in enumerate(taus)
-    )
-    write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), rows)
+    cells = _g2_cells(taus, scan(traces, taus, kinds), mean_intensity(traces, 3), mean_intensity(traces, 4))
+    write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), map(",".join, cells))
 
 
 def predict_report(bench: BenchConfig) -> str:
@@ -477,7 +478,7 @@ def predict_report(bench: BenchConfig) -> str:
         omega = solid_angle_of_setup(bench.phi3, bench.phi4)
     oracle = predict_g2(bench)
     terms = term_audit(bench)
-    n_zero = sum(1 for t in terms if t.value == 0)
+    n_zero = sum(1 for t in terms if t.kind == "vanishing")
     lines = [
         f"phi3    = {bench.phi3:.9g} rad",
         f"phi4    = {bench.phi4:.9g} rad",
@@ -491,7 +492,7 @@ def predict_report(bench: BenchConfig) -> str:
         "term audit (16 terms; * marks survivors):",
     ]
     for t in terms:
-        star = "*" if t.value != 0 else " "
+        star = " " if t.kind == "vanishing" else "*"
         lines.append(
             f"  {star} {t.label}  {t.kind:<9}  sign={t.sign:+d}"
             f"  magnitude={t.magnitude:.9g}  phase={t.phase:+.9g}"

@@ -50,14 +50,13 @@ def simulate_detectors(
 
 @dataclass(frozen=True)
 class PointEstimates:
-    """Repeat-averaged estimates for one polariser setting over a tau grid;
-    one ``g2_<kind>`` field per kind of ``correlate.SCAN_KINDS``."""
+    """Repeat-averaged estimates of the bench ``bench`` over the delays
+    ``taus``: ``g2`` maps each kind of ``correlate.SCAN_KINDS``, in that
+    order, to its results at ``taus``."""
 
-    phi34: float
+    bench: BenchConfig
     taus: tuple[float, ...]
-    g2_cross: tuple[CorrelationResult, ...]
-    g2_self3: tuple[CorrelationResult, ...]
-    g2_self4: tuple[CorrelationResult, ...]
+    g2: dict[str, tuple[CorrelationResult, ...]]
     i3_mean: float
     i4_mean: float
 
@@ -93,11 +92,12 @@ def estimate_point(
     repeats: int = 1,
     point: int = 0,
 ) -> PointEstimates:
-    """Run ``repeats`` fresh-seeded pipelines at one setting and average.
+    """Run ``repeats`` fresh-seeded pipelines of ``bench_cfg`` and average.
 
     Every tau in the grid is evaluated on the same records (a delay scan of
-    each repeat's trace); repeats are combined by plain averaging with
-    quadrature-combined standard errors.
+    each repeat's trace; the scans are all held until the end, and
+    ``cli.sweep_grids`` charges them); repeats are combined by plain
+    averaging with quadrature-combined standard errors.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -108,14 +108,11 @@ def estimate_point(
         i3_vals.append(mean_intensity(traces, 3))
         i4_vals.append(mean_intensity(traces, 4))
     # Per kind, the results of every repeat at each tau.
-    series = {
-        f"g2_{kind}": tuple(map(_combine, zip(*per_repeat)))
-        for kind, per_repeat in zip(SCAN_KINDS, zip(*scans))
-    }
+    g2 = {kind: tuple(map(_combine, zip(*per_repeat))) for kind, per_repeat in zip(SCAN_KINDS, zip(*scans))}
     return PointEstimates(
-        phi34=bench_cfg.phi4 - bench_cfg.phi3,
+        bench=bench_cfg,
         taus=tuple(float(t) for t in taus),
-        **series,
+        g2=g2,
         i3_mean=float(np.mean(i3_vals)),
         i4_mean=float(np.mean(i4_vals)),
     )

@@ -49,8 +49,8 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def fit_fringe(points):
-    phi = np.array([p.phi34 for p in points])
-    g2 = np.array([p.g2_cross[0].value for p in points])
+    phi = np.array([p.bench.phi4 - p.bench.phi3 for p in points])
+    g2 = np.array([p.g2["cross"][0].value for p in points])
     design = np.column_stack([np.cos(2 * phi), np.ones_like(phi)])
     coef, *_ = np.linalg.lstsq(design, g2, rcond=None)
     return coef  # (A, B)
@@ -79,8 +79,8 @@ def test_criterion_2_fringe_range(zero_delay_sweep):
 
 
 def test_criterion_3_self_correlation_nonlocality(zero_delay_sweep):
-    vals = np.array([p.g2_self4[0].value for p in zero_delay_sweep.points])
-    errs = np.array([p.g2_self4[0].std_error for p in zero_delay_sweep.points])
+    vals = np.array([p.g2["self4"][0].value for p in zero_delay_sweep.points])
+    errs = np.array([p.g2["self4"][0].std_error for p in zero_delay_sweep.points])
     spread = vals.max() - vals.min()
     ok = spread <= 4.0 * errs.mean() and abs(vals.mean() - 1.5) <= 0.05
     report(

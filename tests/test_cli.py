@@ -302,7 +302,8 @@ def test_simulate_is_charged_for_a_record_that_predict_is_not(tmp_path, capsys, 
     ("sweep.tau_max = 1e-7\nsweep.tau_steps = 1\n", "sweep.tau_steps"),
     ("sweep.phi34_start = -1e308\nsweep.phi34_end = 1e308\n", "sweep.phi34_start, sweep.phi34_end"),
     ("sweep.phi34_steps = 1000000000000\n", "sweep.phi34_steps x sweep.tau_steps"),
-], ids=["tau_max", "tau_steps", "phi34_span", "rows"])
+    ("sim.repeats = 9223372036854775807\n", "sim.repeats x sweep.tau_steps"),
+], ids=["tau_max", "tau_steps", "phi34_span", "rows", "repeats"])
 def test_predict_is_not_checked_against_the_sweep_grid(tmp_path, capsys, monkeypatch, lines, field):
     monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
     path = tmp_path / "grid.cfg"
@@ -791,6 +792,26 @@ def test_sweep_bytes_are_pinned(tmp_path, lines, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("lines", [
+    "bench.phi4 = 0\n",
+    "bench.phi3 = 0.3\nbench.phi4 = 0.3\nbench.balance = 0.5\nbench.phi_d = 30 deg\n",
+], ids=["aligned", "unbalanced"])
+def test_sweep_point_0_writes_the_cells_of_analyze(tmp_path, lines, workers):
+    # At bench.phi4 = bench.phi3 the sweep's point 0 (phi34 = 0) runs the
+    # config's own bench on the record that simulate writes, so its g2 cells
+    # (columns tau_s to i4_mean) are the bytes that analyze writes.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.duration = 2e-3\n" + lines)
+    sweep, traces, g2 = tmp_path / "sweep.csv", tmp_path / "traces.csv", tmp_path / "g2.csv"
+    assert main(["sweep", "--config", str(cfg), "--seed", "7", "--workers", str(workers), "--out", str(sweep)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--seed", "7", "--out", str(traces)]) == 0
+    assert main(["analyze", str(traces), "--tau-max", "5e-5", "--out", str(g2)]) == 0
+    rows = sweep.read_text().splitlines()[1:12]
+    assert len(rows) == 11 and all(row.startswith("0.0,") for row in rows)
+    assert [",".join(row.split(",")[1:10]) for row in rows] == g2.read_text().splitlines()[1:]
+
+
 def test_analyze_constant_file_gives_unity(tmp_path):
     path = tmp_path / "const.csv"
     traces = DetectorTraces(1e-7, 500, [0], [[0.2, 0.4]])
@@ -1112,6 +1133,11 @@ def test_predict_at_a_huge_balance_prints_no_nan(tmp_path, capsys, balance):
     out = capsys.readouterr().out
     assert "nan" not in out
     assert out.endswith("survivor sum = 1\n")
+    # The direct term of E1 at both detectors underflows to a magnitude of
+    # 0, but time averaging keeps it: a term is starred by its kind.
+    assert "  * D3:E1*E1 D4:E1*E1  direct     sign=+1  magnitude=0  phase=+0\n" in out
+    assert sum(1 for line in out.splitlines() if line.startswith("  * ")) == 6
+    assert "10 of 16 terms vanish" in out
 
 
 def test_usage_errors_are_exit_2(tmp_path, capsys):

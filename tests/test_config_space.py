@@ -79,8 +79,10 @@ def stop_at_the_record(*args, **kwargs):
 @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
 def test_every_extreme_value_ends_cleanly(tmp_path, capsys, monkeypatch, key):
     # An accepted config of simulate or sweep ends in the sentinel before
-    # it makes a record, so no value here makes a long run (sim.repeats has
-    # no upper bound).
+    # it makes a record, so no value here makes a long run.  The sweep
+    # refuses sim.repeats = 2**63 - 1 for the results it would hold
+    # (sim.repeats x sweep.tau_steps), but a count that fits in memory can
+    # still take days.
     monkeypatch.setattr(cli, "simulate_detectors", stop_at_the_record)
     monkeypatch.setattr(pipeline, "simulate_detectors", stop_at_the_record)
     path = tmp_path / "run.cfg"

@@ -68,8 +68,8 @@ def test_pipeline_self_correlation_height(pipeline_traces):
 
 
 def test_self_correlation_ignores_polariser_angle(zero_delay_sweep):
-    vals = np.array([pt.g2_self4[0].value for pt in zero_delay_sweep.points])
-    errs = np.array([pt.g2_self4[0].std_error for pt in zero_delay_sweep.points])
+    vals = np.array([pt.g2["self4"][0].value for pt in zero_delay_sweep.points])
+    errs = np.array([pt.g2["self4"][0].std_error for pt in zero_delay_sweep.points])
     assert vals.max() - vals.min() <= 4.0 * errs.mean()
 
 
@@ -113,7 +113,7 @@ def test_scale_invariance(pipeline_traces):
 def test_values_live_in_phase_noise_band(zero_delay_sweep):
     # pure phase noise keeps g2 inside [0.5, 1.5] (thermal light would reach 2)
     for pt in zero_delay_sweep.points:
-        for series in (pt.g2_cross, pt.g2_self3, pt.g2_self4):
+        for series in (pt.g2["cross"], pt.g2["self3"], pt.g2["self4"]):
             res = series[0]
             assert 0.5 - 5 * res.std_error <= res.value <= 1.5 + 5 * res.std_error
 

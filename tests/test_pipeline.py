@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hbtsim.bench import BenchConfig
-from hbtsim.correlate import CorrelationResult, g2_cross, scan
+from hbtsim.correlate import SCAN_KINDS, CorrelationResult, g2_cross, scan
 from hbtsim.pipeline import _combine, detector_streams, estimate_point, simulate_detectors
 from hbtsim.source import default_source_config, generate_trace
 
@@ -64,11 +64,13 @@ def test_estimate_point_combines_repeats():
     ]
     expected_value = np.mean([s.value for s in singles])
     expected_err = math.sqrt(sum(s.std_error ** 2 for s in singles)) / 3
-    assert est.g2_cross[0].value == pytest.approx(expected_value, rel=1e-12)
-    assert est.g2_cross[0].std_error == pytest.approx(expected_err, rel=1e-12)
-    assert est.g2_cross[0].n_samples == sum(s.n_samples for s in singles)
+    assert est.g2["cross"][0].value == pytest.approx(expected_value, rel=1e-12)
+    assert est.g2["cross"][0].std_error == pytest.approx(expected_err, rel=1e-12)
+    assert est.g2["cross"][0].n_samples == sum(s.n_samples for s in singles)
     assert est.taus == (0.0, 1e-5)
-    assert est.phi34 == pytest.approx(math.pi / 2)
+    assert est.bench == BENCH
+    assert est.bench.phi4 - est.bench.phi3 == pytest.approx(math.pi / 2)
+    assert list(est.g2) == list(SCAN_KINDS)
     with pytest.raises(ValueError):
         estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, repeats=0)
 
@@ -78,7 +80,7 @@ def test_one_repeat_keeps_its_scan_results():
     est = estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, point=4)
     scans = scan(simulate_detectors(SRC, BENCH, 2e-3, 1e-7, seed=5, point=4), taus)
     bits = lambda results: [(r.value.hex(), r.std_error.hex(), r.tau, r.n_samples) for r in results]
-    for got, want in zip((est.g2_cross, est.g2_self3, est.g2_self4), scans):
+    for got, want in zip((est.g2["cross"], est.g2["self3"], est.g2["self4"]), scans):
         assert bits(got) == bits(want)
 
 
