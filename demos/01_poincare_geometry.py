@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from hbtsim import (
+from hbtsim.poincare import (
     LEFT_CIRCULAR,
     RIGHT_CIRCULAR,
     linear_state,

@@ -12,13 +12,8 @@ import math
 
 import numpy as np
 
-from hbtsim import (
-    default_source_config,
-    first_order_coherence,
-    generate_trace,
-    sample_dwell,
-    truncated_dwell_mean,
-)
+from hbtsim.correlate import first_order_coherence
+from hbtsim.source import default_source_config, generate_trace, sample_dwell, truncated_dwell_mean
 
 BAR = 40
 

@@ -12,8 +12,11 @@ time the cross correlation settles at 1.
 
 import math
 
-from hbtsim import BenchConfig, default_source_config, g2_cross, no_jump_probability, predict_g2
+from hbtsim.bench import BenchConfig
+from hbtsim.correlate import g2_cross
+from hbtsim.oracle import no_jump_probability, predict_g2
 from hbtsim.pipeline import simulate_detectors
+from hbtsim.source import default_source_config
 
 DURATION = 1e-2  # 1000 coherence times: ~3% error bars, fast demo
 DT = 1e-7

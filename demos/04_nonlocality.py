@@ -12,9 +12,11 @@ carry the geometric phase.
 
 import math
 
-from hbtsim import BenchConfig, default_source_config, g2_cross, g2_self, mean_intensity
+from hbtsim.bench import BenchConfig, mean_intensity
 from hbtsim.cli import predict_report
+from hbtsim.correlate import g2_cross, g2_self
 from hbtsim.pipeline import simulate_detectors
+from hbtsim.source import default_source_config
 
 DURATION = 1e-2
 DT = 1e-7

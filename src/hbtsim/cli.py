@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import pickle
-import signal
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
@@ -198,6 +197,7 @@ def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunCo
     """The config of a file, with ``overrides`` (parsed, by key) winning; the
     record checks (``RunConfig.validate``) are the record commands' own."""
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -213,6 +213,8 @@ def parse_config_file(path, overrides: dict[str, object] | None = None) -> RunCo
             text = text.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(key, "unknown configuration key")
+            if set_on.setdefault(key, lineno) != lineno:
+                raise ConfigError(f"{path}:{lineno}", f"{key} already set on line {set_on[key]}")
             try:
                 values[key] = CONFIG_KEYS[key](text)
             except ValueError:
@@ -425,6 +427,7 @@ def run_sweep(cfg: RunConfig, workers: int = 1) -> list[PointEstimates]:
             points += _join_share(pid, children, share)
     finally:
         for pid, read_fd in children.items():
+            import signal  # only a failed sweep leaves a child to kill
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):
@@ -526,9 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an.add_argument("trace", help="detector-trace CSV (as written by simulate)")
     p_an.add_argument("--out", required=True, help="output CSV path")
-    p_an.add_argument("--taus", help="comma-separated delays in seconds")
-    p_an.add_argument("--tau-max", type=float, help="delay grid end (seconds), snapped to the file's dt")
-    p_an.add_argument("--tau-steps", type=int, default=11, help="delay grid size")
+    delays = p_an.add_mutually_exclusive_group()
+    delays.add_argument("--taus", help="comma-separated delays in seconds")
+    delays.add_argument("--tau-max", type=float, help="delay grid end (seconds), snapped to the file's dt")
+    p_an.add_argument("--tau-steps", type=int, help=f"size of the --tau-max grid (default {SweepConfig.tau_steps})")
     for kind in SCAN_KINDS:
         p_an.add_argument(f"--{kind}", action="store_true", help=f"estimate g2_{kind} (default: every kind)")
 
@@ -545,11 +549,12 @@ def _analyze_taus(args, traces: DetectorTraces) -> list[float]:
         if not taus:
             raise ConfigError(field, "no delays given")
     elif args.tau_max is not None:
-        if args.tau_steps < 1:
+        steps = SweepConfig.tau_steps if args.tau_steps is None else args.tau_steps
+        if steps < 1:
             raise ConfigError("--tau-steps", "must be >= 1")
-        check_fits_in_memory("--tau-steps", args.tau_steps, "delays", BYTES_PER_DELAY)
+        check_fits_in_memory("--tau-steps", steps, "delays", BYTES_PER_DELAY)
         field = "--tau-max"
-        grid = delay_grid((field, "--tau-steps"), args.tau_max, args.tau_steps, traces.dt, traces.n)
+        grid = delay_grid((field, "--tau-steps"), args.tau_max, steps, traces.dt, traces.n)
         taus = [float(t) for t in grid]
     else:
         field, taus = args.trace, [0.0]
@@ -575,6 +580,8 @@ def main(argv=None) -> int:
                 raise ConfigError("--workers", "must be >= 1")
             cmd_sweep(_load_config(args), args.out, workers=args.workers)
         elif args.command == "analyze":
+            if args.tau_steps is not None and args.tau_max is None:
+                raise ConfigError("--tau-steps", "only with --tau-max")
             kinds = [kind for kind in SCAN_KINDS if getattr(args, kind)] or list(SCAN_KINDS)
             traces = load_detector_traces(args.trace)
             cmd_analyze(traces, _analyze_taus(args, traces), kinds, args.out)

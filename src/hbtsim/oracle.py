@@ -38,7 +38,6 @@ from itertools import product
 
 from .bench import EPSILON_3, EPSILON_4, BenchConfig, amplitudes
 from .correlate import KIND_COLUMNS
-from .poincare import _wrap_pm_two_pi
 from .source import PhaseNoiseConfig, truncated_dwell_mean
 
 
@@ -48,6 +47,7 @@ def solid_angle_of_setup(phi3: float, phi4: float) -> float:
     Matches ``poincare.polygon_solid_angle`` of the R-4-L-3 loop exactly
     (both are reduced mod 4*pi to the same interval).
     """
+    from .poincare import _wrap_pm_two_pi  # only `hbt predict` needs the geometry
     lune = 4.0 * (phi4 - phi3)
     if not math.isfinite(lune):
         raise ValueError("4*(phi4 - phi3) must be finite for phi3, phi4")

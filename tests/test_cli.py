@@ -93,6 +93,22 @@ def test_parse_config_rejects_unknown_key(tmp_path):
         parse_config_file(path)
 
 
+def test_config_key_set_twice_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "a.cfg"
+    path.write_text("sim.duration = 2e-3\n# comment\nsim.seed = 1\nsim.duration = 4e-3\n")
+    with pytest.raises(ConfigError) as info:
+        parse_config_file(path)
+    assert info.value.field == f"{path}:4"
+    assert info.value.message == "sim.duration already set on line 1"
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"hbt: error: {path}:4: sim.duration already set on line 1\n"
+    assert not out.exists()
+    # --seed is an override, not a second line: it still wins over sim.seed.
+    path.write_text("sim.seed = 1\n")
+    assert parse_config_file(path, {"sim.seed": 7}).sim.seed == 7
+
+
 def test_source_seed_key_is_rejected(tmp_path, capsys):
     path = tmp_path / "a.cfg"
     for key in ("source.seed", "source.amplitude"):
@@ -539,22 +555,37 @@ def test_unknown_physical_memory_is_no_bound(monkeypatch, error):
     cli.check_fits_in_memory("sim.duration", 1e30, "samples per trace", BYTES_PER_SAMPLE)
 
 
+def loaded_by_commands(prefixes: tuple[str, ...], cfg_path, out_dir) -> list[str]:
+    """The modules named by ``prefixes`` that a fresh ``python -I`` holds
+    after importing ``hbtsim.cli`` and loading ``cfg_path``, and after a
+    ``--workers 2`` sweep of it."""
+    src = Path(hbtsim.__file__).parents[1]
+    show = f"print(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    probes = [
+        "hbtsim.cli.parse_config_file(sys.argv[2])",
+        f"assert hbtsim.cli.main(['sweep', '--config', sys.argv[2], '--workers', '2', '--out', {str(out_dir / 'w2.csv')!r}]) == 0",
+    ]
+    loaded = []
+    for probe in probes:
+        code = f"import sys; sys.path.insert(0, sys.argv[1]); import hbtsim.cli; {probe}; {show}"
+        done = subprocess.run(
+            [sys.executable, "-I", "-c", code, str(src), str(cfg_path)],
+            capture_output=True, text=True, check=True,
+        )
+        loaded += done.stdout.split()
+    return loaded
+
+
 def test_import_and_config_load_no_process_pool(small_cfg_path, tmp_path):
     # Start-up must not pay for a process pool, and a parallel sweep forks
     # its workers without one.
-    src = Path(hbtsim.__file__).parents[1]
-    pool_modules = "print(*sorted(m for m in sys.modules if m.startswith(('concurrent.futures', 'multiprocessing'))))"
-    probes = [
-        "hbtsim.cli.parse_config_file(sys.argv[2])",
-        f"assert hbtsim.cli.main(['sweep', '--config', sys.argv[2], '--workers', '2', '--out', {str(tmp_path / 'w2.csv')!r}]) == 0",
-    ]
-    for probe in probes:
-        code = f"import sys; sys.path.insert(0, sys.argv[1]); import hbtsim.cli; {probe}; {pool_modules}"
-        done = subprocess.run(
-            [sys.executable, "-I", "-c", code, str(src), str(small_cfg_path)],
-            capture_output=True, text=True, check=True,
-        )
-        assert done.stdout.split() == []
+    assert loaded_by_commands(("concurrent.futures", "multiprocessing"), small_cfg_path, tmp_path) == []
+
+
+def test_command_path_loads_no_geometry_or_signal(small_cfg_path, tmp_path):
+    # Only `hbt predict` reads the Poincaré geometry, and only a failed
+    # sweep needs `signal`: a config load and a parallel sweep import neither.
+    assert loaded_by_commands(("hbtsim.poincare", "cmath", "signal"), small_cfg_path, tmp_path) == []
 
 
 @pytest.fixture()
@@ -928,6 +959,30 @@ def test_analyze_one_delay_step_with_positive_tau_max_is_exit_2(tmp_path, capsys
     assert "--tau-steps:" in capsys.readouterr().err
     assert main([*argv, "--tau-max", "0"]) == 0
     assert [float(r[0]) for r in read_rows(out)[1]] == [0.0]
+
+
+def test_analyze_taus_and_tau_max_are_exclusive(tmp_path, capsys):
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, 200, [0], [[1.0, 1.0]]), path)
+    out = tmp_path / "o.csv"
+    assert main(["analyze", str(path), "--taus", "0", "--tau-max", "5e-6", "--out", str(out)]) == 2
+    assert "argument --tau-max: not allowed with argument --taus" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_analyze_tau_steps_only_with_tau_max(tmp_path, capsys):
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, 400, [0], [[1.0, 1.0]]), path)
+    out = tmp_path / "o.csv"
+    # Refused before the trace file is read: a missing file is not an i/o error here.
+    for where, delays in ((path, []), (path, ["--taus", "0"]), (tmp_path / "missing.csv", [])):
+        assert main(["analyze", str(where), *delays, "--tau-steps", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "hbt: error: --tau-steps: only with --tau-max\n"
+        assert not out.exists()
+    # Without --tau-steps, --tau-max makes the sweep's default grid of 11 delays.
+    assert main(["analyze", str(path), "--tau-max", "1e-6", "--out", str(out)]) == 0
+    _, taus = sweep_grids(build_run_config({"sweep.tau_max": 1e-6}))
+    assert [float(r[0]) for r in read_rows(out)[1]] == list(taus) and len(taus) == 11
 
 
 def test_analyze_repeated_delays_are_exit_2(tmp_path, capsys):
