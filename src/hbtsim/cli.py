@@ -463,7 +463,6 @@ def cmd_simulate(cfg: RunConfig, out_path) -> None:
 
 
 def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
-    sweep_grids(cfg)  # refuse a bad grid before any point runs
     points = run_sweep(cfg, workers)
     rows = sweep_rows(cfg, points)
     write_csv(out_path, "# columns: " + ",".join(SWEEP_COLUMNS), map(",".join, rows))

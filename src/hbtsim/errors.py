@@ -6,11 +6,6 @@ survives pickling, as a sweep worker's exception must.
 """
 
 
-class DegenerateGeodesicError(ValueError):
-    """Consecutive states/points are orthogonal, identical or antipodal: the
-    connecting geodesic (and hence the geometric phase) is undefined."""
-
-
 class IncompatibleTracesError(ValueError):
     """Traces disagree in sample period or length."""
 

@@ -42,16 +42,16 @@ from .source import PhaseNoiseConfig, truncated_dwell_mean
 
 
 def solid_angle_of_setup(phi3: float, phi4: float) -> float:
-    """Solid angle 4*(phi4 - phi3) of the polariser lune, in (-2*pi, 2*pi].
+    """Solid angle 4*(phi4 - phi3) of the polariser lune, mod 4*pi in (-2*pi, 2*pi].
 
-    Matches ``poincare.polygon_solid_angle`` of the R-4-L-3 loop exactly
-    (both are reduced mod 4*pi to the same interval).
+    The tests hold it to the solid angle of the R-4-L-3 loop on the Poincaré
+    sphere, computed by ``tests/poincare_reference.py``.
     """
-    from .poincare import _wrap_pm_two_pi  # only `hbt predict` needs the geometry
     lune = 4.0 * (phi4 - phi3)
     if not math.isfinite(lune):
         raise ValueError("4*(phi4 - phi3) must be finite for phi3, phi4")
-    return _wrap_pm_two_pi(lune)
+    r = math.remainder(lune, 4.0 * math.pi)
+    return r + 4.0 * math.pi if r <= -2.0 * math.pi else r
 
 
 def visibility(balance: float) -> float:

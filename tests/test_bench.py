@@ -18,8 +18,8 @@ from hbtsim.csvutil import IO_BLOCK, write_csv
 from hbtsim.errors import IncompatibleTracesError, TraceFormatError
 from hbtsim.oracle import no_jump_probability, predict_g2
 from hbtsim.pipeline import simulate_detectors
-from hbtsim.poincare import linear_state, projector_of
 from hbtsim.source import FieldTrace, default_source_config, generate_trace
+from poincare_reference import linear_state
 
 SRC = default_source_config()
 
@@ -31,8 +31,8 @@ def dense_matrix_oracle(e1: FieldTrace, e2: FieldTrace, cfg: BenchConfig):
     """Independent per-sample evaluation with explicit 2x2 matrix algebra.
 
     The dynamical phase u2 = e^{i phi_d} rides the S2 -> D3 path only."""
-    p3 = projector_of(linear_state(cfg.phi3)).matrix
-    p4 = projector_of(linear_state(cfg.phi4)).matrix
+    k3, k4 = linear_state(cfg.phi3), linear_state(cfg.phi4)
+    p3, p4 = np.outer(k3, k3.conj()), np.outer(k4, k4.conj())
     u2 = np.exp(1j * cfg.phi_d)
     scale = math.sqrt(cfg.balance)
     i3 = np.empty(len(e1.samples))
@@ -229,7 +229,8 @@ def test_amplitudes_are_the_projector_elements():
         cfg = BenchConfig(phi3=phi3, phi4=phi4, phi_d=phi_d, balance=rng.uniform(0.2, 5.0))
         table = amplitudes(cfg)
         for a, (phi, eps, u) in enumerate(((phi3, 1.0, np.exp(1j * phi_d)), (phi4, -1.0, 1.0))):
-            proj = projector_of(linear_state(phi)).matrix
+            k = linear_state(phi)
+            proj = np.outer(k, k.conj())
             c = np.array([1.0, eps * math.sqrt(cfg.balance) * u])
             expected = proj * np.outer(c.conj(), c)
             assert np.max(np.abs(2 * np.outer(table[a].conj(), table[a]) - expected)) < 1e-12

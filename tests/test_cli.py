@@ -165,14 +165,14 @@ def test_every_command_is_charged_one_bound_per_sample(tmp_path, capsys, monkeyp
     # writer streamed); 2e10 samples fit for neither.
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 18}
     monkeypatch.setattr("hbtsim.cli.os.sysconf", memory.__getitem__)
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     monkeypatch.setattr("hbtsim.cli.simulate_detectors", lambda *args, **kwargs: pytest.fail("simulate ran"))
     path = tmp_path / "long.cfg"
     out = str(tmp_path / "o.csv")
     path.write_text("sim.duration = 2\n")
     assert 2e7 * 80 > 2 ** 30 > 2e7 * BYTES_PER_SAMPLE
     assert parse_config_file(path).sim.duration == 2.0
-    for command, ran in (("simulate", "simulate ran"), ("sweep", "the sweep ran")):
+    for command, ran in (("simulate", "simulate ran"), ("sweep", "a sweep point ran")):
         with pytest.raises(pytest.fail.Exception, match=ran):
             main([command, "--config", str(path), "--out", out])
     path.write_text("sim.duration = 2e3\n")
@@ -218,7 +218,7 @@ def test_out_of_range_value_names_its_field(tmp_path, capsys, line, field):
     ("3e-6", "1.5e-6", "sweep.tau_max"),  # 30 samples: the window at tau_max is 15
 ], ids=["1e-9-0", "1e-6-0", "3e-6-1.5e-6"])
 def test_record_shorter_than_the_batches_names_sim_duration(tmp_path, capsys, monkeypatch, duration, tau_max, field):
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "short.cfg"
     path.write_text(f"sim.duration = {duration}\nsweep.tau_max = {tau_max}\n")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
@@ -234,7 +234,7 @@ def test_record_of_exactly_the_batches_is_accepted(tmp_path):
 
 @pytest.mark.parametrize("tau_max", ["5e-5", "1e-7"])
 def test_one_delay_step_with_positive_tau_max_names_sweep_tau_steps(tmp_path, capsys, monkeypatch, tau_max):
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "one.cfg"
     path.write_text(f"sim.duration = 2e-3\nsweep.tau_max = {tau_max}\nsweep.tau_steps = 1\n")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
@@ -321,7 +321,7 @@ def test_simulate_is_charged_for_a_record_that_predict_is_not(tmp_path, capsys, 
     ("sim.repeats = 9223372036854775807\n", "sim.repeats x sweep.tau_steps"),
 ], ids=["tau_max", "tau_steps", "phi34_span", "rows", "repeats"])
 def test_predict_is_not_checked_against_the_sweep_grid(tmp_path, capsys, monkeypatch, lines, field):
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "grid.cfg"
     path.write_text("sim.duration = 2e-3\n" + lines)
     assert main(["predict", "--config", str(path)]) == 0
@@ -347,7 +347,7 @@ def test_sweep_takes_a_grid_end_at_half_the_record(tmp_path):
     ("sim.duration = 2e-3\nsweep.tau_max = 1e308\n", "sweep.tau_max: tau=1e+308 exceeds half the record length"),
 ], ids=["one_lag_beyond_half", "overflowing_lag"])
 def test_sweep_delays_beyond_half_the_record_name_sweep_tau_max(tmp_path, capsys, monkeypatch, lines, message):
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "beyond.cfg"
     path.write_text(lines)
     with warnings.catch_warnings():
@@ -394,7 +394,7 @@ def test_sweep_and_analyze_accept_the_same_delay_grids(tmp_path, n, tau_max, ste
     ("sweep.tau_max = 4e-8\nsweep.tau_steps = 2\n", 1),  # both round to lag 0
 ], ids=["zero_tau_max", "three_lags", "one_step_too_many", "below_half_a_sample"])
 def test_repeated_delays_name_sweep_tau_steps(tmp_path, capsys, monkeypatch, lines, lags):
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "grid.cfg"
     path.write_text("sim.duration = 2e-3\n" + lines)
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
@@ -419,7 +419,7 @@ def test_infinite_t_max_is_named(tmp_path, capsys, value):
     ("sweep.phi34_start = -1e308\nsweep.phi34_end = -1e307\n", "bench.phi3, sweep.phi34_start"),
 ], ids=["span", "negative_span", "phi4_at_end", "phi4_at_start", "lune_at_start"])
 def test_sweep_angles_that_overflow_are_named(tmp_path, capsys, monkeypatch, lines, field):
-    monkeypatch.setattr("hbtsim.cli.run_sweep", lambda *args, **kwargs: pytest.fail("the sweep ran"))
+    monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "angles.cfg"
     path.write_text("sim.duration = 2e-3\n" + lines)
     with warnings.catch_warnings():
@@ -583,9 +583,9 @@ def test_import_and_config_load_no_process_pool(small_cfg_path, tmp_path):
 
 
 def test_command_path_loads_no_geometry_or_signal(small_cfg_path, tmp_path):
-    # Only `hbt predict` reads the Poincaré geometry, and only a failed
-    # sweep needs `signal`: a config load and a parallel sweep import neither.
-    assert loaded_by_commands(("hbtsim.poincare", "cmath", "signal"), small_cfg_path, tmp_path) == []
+    # The command path does no complex scalar maths, and only a failed sweep
+    # needs `signal`: a config load and a parallel sweep import neither.
+    assert loaded_by_commands(("cmath", "signal"), small_cfg_path, tmp_path) == []
 
 
 @pytest.fixture()

@@ -6,7 +6,6 @@ import pytest
 from hbtsim import errors
 
 EXAMPLES = [
-    errors.DegenerateGeodesicError("antipodal points"),
     errors.IncompatibleTracesError("dt differs"),
     errors.OffGridDelayError("tau is off the grid"),
     errors.InsufficientDataError("too few samples"),

@@ -17,15 +17,8 @@ from hbtsim.oracle import (
     term_audit,
     visibility,
 )
-from hbtsim.poincare import (
-    LEFT_CIRCULAR,
-    RIGHT_CIRCULAR,
-    linear_state,
-    polygon_solid_angle,
-    projector_of,
-    to_sphere,
-)
 from hbtsim.source import PhaseNoiseConfig, default_source_config, generate_trace
+from poincare_reference import L, R, linear_state, polygon_solid_angle, to_sphere
 
 SRC = default_source_config()
 
@@ -48,19 +41,20 @@ def test_solid_angle_refuses_a_lune_that_is_not_finite(phi3, phi4):
 
 
 def test_solid_angle_matches_polygon_100_pairs():
+    # Both the closed form and the bench's amplitude table against the sphere:
+    # the table's geometric phase arg(-d3 conj(d4)) - phi_d, with
+    # d_a = conj(A_a1) A_a2, is half the loop's solid angle.
     rng = np.random.default_rng(9)
     for _ in range(100):
-        phi3, phi4 = rng.uniform(-math.pi, math.pi, 2)
+        phi3, phi4, phi_d = rng.uniform(-math.pi, math.pi, 3)
         if abs(math.remainder(phi4 - phi3, math.pi / 2)) < 1e-6:
             continue
-        loop = [
-            to_sphere(RIGHT_CIRCULAR),
-            to_sphere(linear_state(phi4)),
-            to_sphere(LEFT_CIRCULAR),
-            to_sphere(linear_state(phi3)),
-        ]
-        omega = solid_angle_of_setup(phi3, phi4)
-        assert wrap_diff(omega, polygon_solid_angle(loop), 4 * math.pi) < 1e-9
+        loop = [to_sphere(R), to_sphere(linear_state(phi4)), to_sphere(L), to_sphere(linear_state(phi3))]
+        sphere = polygon_solid_angle(loop)
+        assert wrap_diff(solid_angle_of_setup(phi3, phi4), sphere, 4 * math.pi) < 1e-9
+        table = amplitudes(BenchConfig(phi3, phi4, phi_d, balance=rng.uniform(0.2, 5.0)))
+        d3, d4 = (row[0].conjugate() * row[1] for row in table)
+        assert wrap_diff(cmath.phase(-d3 * d4.conjugate()) - phi_d, sphere / 2, 2 * math.pi) < 1e-12
 
 
 def test_predict_cross_examples():
@@ -166,8 +160,8 @@ def test_audit_geometric_terms_match_projector_chain():
     p_l = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     for _ in range(50):
         phi3, phi4, phi_d = rng.uniform(-math.pi, math.pi, 3)
-        p3 = projector_of(linear_state(phi3)).matrix
-        p4 = projector_of(linear_state(phi4)).matrix
+        k3, k4 = linear_state(phi3), linear_state(phi4)
+        p3, p4 = np.outer(k3, k3.conj()), np.outer(k4, k4.conj())
         chain = complex(np.trace(p_r @ p3 @ p_l @ p4))
         expected = -cmath.exp(1j * phi_d) * chain
         terms = {t.d3 + t.d4: t for t in term_audit(BenchConfig(phi3, phi4, phi_d))}

@@ -4,28 +4,26 @@ import math
 import numpy as np
 import pytest
 
-from hbtsim.errors import DegenerateGeodesicError
-from hbtsim.poincare import (
-    LEFT_CIRCULAR,
-    RIGHT_CIRCULAR,
-    PolarizationState,
-    Projector,
-    SpherePoint,
+from poincare_reference import (
+    DegenerateGeodesicError,
+    L,
+    R,
     linear_state,
     pancharatnam_phase,
     polygon_solid_angle,
-    projector_of,
-    state_overlap,
     to_sphere,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def random_state(rng) -> PolarizationState:
+def random_state(rng) -> np.ndarray:
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    v /= np.linalg.norm(v)
-    return PolarizationState(v[0], v[1])
+    return v / np.linalg.norm(v)
+
+
+def projector(v) -> np.ndarray:
+    return np.outer(v, v.conj())
 
 
 def wrap_diff(a: float, b: float, period: float) -> float:
@@ -53,20 +51,14 @@ def spherical_triangle_area(v1, v2, v3) -> float:
 
 
 def test_linear_state_examples():
-    s0 = linear_state(0.0)
-    assert s0.a_r == pytest.approx(INV_SQRT2, abs=1e-15)
-    assert s0.a_l == pytest.approx(INV_SQRT2, abs=1e-15)
-    s90 = linear_state(math.pi / 2)
-    assert s90.a_r == pytest.approx(-1j * INV_SQRT2, abs=1e-15)
-    assert s90.a_l == pytest.approx(1j * INV_SQRT2, abs=1e-15)
-    s180 = linear_state(math.pi)
-    assert s180.a_r == pytest.approx(-INV_SQRT2, abs=1e-15)
-    assert s180.a_l == pytest.approx(-INV_SQRT2, abs=1e-15)
+    assert linear_state(0.0) == pytest.approx([INV_SQRT2, INV_SQRT2], abs=1e-15)
+    assert linear_state(math.pi / 2) == pytest.approx([-1j * INV_SQRT2, 1j * INV_SQRT2], abs=1e-15)
+    assert linear_state(math.pi) == pytest.approx([-INV_SQRT2, -INV_SQRT2], abs=1e-15)
 
 
 def test_linear_state_pi_periodic_projector():
-    p0 = projector_of(linear_state(0.7)).matrix
-    p_pi = projector_of(linear_state(0.7 + math.pi)).matrix
+    p0 = projector(linear_state(0.7))
+    p_pi = projector(linear_state(0.7 + math.pi))
     assert np.max(np.abs(p0 - p_pi)) < 1e-12
 
 
@@ -77,70 +69,49 @@ def test_linear_state_rejects_nonfinite():
 
 
 def test_explicit_projector_matrices():
-    assert np.allclose(projector_of(RIGHT_CIRCULAR).matrix, [[1, 0], [0, 0]], atol=1e-15)
-    assert np.allclose(projector_of(LEFT_CIRCULAR).matrix, [[0, 0], [0, 1]], atol=1e-15)
+    assert np.allclose(projector(R), [[1, 0], [0, 0]], atol=1e-15)
+    assert np.allclose(projector(L), [[0, 0], [0, 1]], atol=1e-15)
     for phi in np.linspace(-3.0, 3.0, 11):
         expected = 0.5 * np.array(
             [[1.0, cmath.exp(-2j * phi)], [cmath.exp(2j * phi), 1.0]]
         )
-        assert np.max(np.abs(projector_of(linear_state(phi)).matrix - expected)) < 1e-12
+        assert np.max(np.abs(projector(linear_state(phi)) - expected)) < 1e-12
 
 
 def test_projector_idempotent_hermitian_1000_random():
     rng = np.random.default_rng(11)
     for _ in range(1000):
-        m = projector_of(random_state(rng)).matrix
+        m = projector(random_state(rng))
         assert np.max(np.abs(m @ m - m)) < 1e-12
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert abs(np.trace(m) - 1.0) < 1e-12
 
 
-def test_projector_rejects_unnormalized_state():
-    with pytest.raises(ValueError):
-        projector_of(PolarizationState(1.0, 1.0))
-
-
-def test_projector_type_validates_matrix():
-    with pytest.raises(ValueError):
-        Projector(np.array([[1.0, 0.5], [0.0, 0.0]]))  # not Hermitian
-    with pytest.raises(ValueError):
-        Projector(0.5 * np.eye(2))  # not idempotent
-
-
 def test_generated_states_have_unit_norm():
     rng = np.random.default_rng(5)
     for phi in rng.uniform(-10, 10, 200):
-        s = linear_state(phi)
-        assert abs(abs(s.a_r) ** 2 + abs(s.a_l) ** 2 - 1.0) < 1e-12
+        assert abs(np.linalg.norm(linear_state(phi)) ** 2 - 1.0) < 1e-12
 
 
 # --- sphere map ----------------------------------------------------------------
 
 
 def test_to_sphere_examples():
-    p = to_sphere(RIGHT_CIRCULAR)
-    assert (p.s1, p.s2, p.s3) == (0.0, 0.0, 1.0)
-    p = to_sphere(linear_state(0.0))
-    assert (p.s1, p.s2, p.s3) == pytest.approx((1.0, 0.0, 0.0), abs=1e-15)
-    p = to_sphere(linear_state(math.pi / 4))
-    assert (p.s1, p.s2, p.s3) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+    assert tuple(to_sphere(R)) == (0.0, 0.0, 1.0)
+    assert to_sphere(linear_state(0.0)) == pytest.approx([1.0, 0.0, 0.0], abs=1e-15)
+    assert to_sphere(linear_state(math.pi / 4)) == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
 
 def test_to_sphere_equator_s3_exact():
     for phi in np.linspace(-7.0, 7.0, 101):
-        assert abs(to_sphere(linear_state(phi)).s3) <= 1e-15
-
-
-def test_sphere_point_rejects_nonunit():
-    with pytest.raises(ValueError):
-        SpherePoint(1.0, 1.0, 0.0)
+        assert abs(to_sphere(linear_state(phi))[2]) <= 1e-15
 
 
 # --- Pancharatnam phase ----------------------------------------------------------
 
 
 def lune_states(phi3, phi4):
-    return [RIGHT_CIRCULAR, linear_state(phi4), LEFT_CIRCULAR, linear_state(phi3)]
+    return [R, linear_state(phi4), L, linear_state(phi3)]
 
 
 def test_pancharatnam_lune_example():
@@ -155,33 +126,23 @@ def test_pancharatnam_retraced_arc_is_zero():
 
 def test_pancharatnam_orthogonal_states_raise():
     with pytest.raises(DegenerateGeodesicError):
-        pancharatnam_phase([RIGHT_CIRCULAR, LEFT_CIRCULAR, linear_state(0.0)])
+        pancharatnam_phase([R, L, linear_state(0.0)])
 
 
 def test_pancharatnam_needs_a_loop():
     with pytest.raises(ValueError):
-        pancharatnam_phase([RIGHT_CIRCULAR, linear_state(0.0)])
+        pancharatnam_phase([R, linear_state(0.0)])
 
 
 def test_pancharatnam_gauge_invariance():
     rng = np.random.default_rng(23)
     for _ in range(200):
         states = [random_state(rng) for _ in range(3)]
-        if any(
-            abs(state_overlap(states[k], states[(k + 1) % 3])) < 1e-6 for k in range(3)
-        ):
+        if any(abs(np.vdot(states[k], states[(k + 1) % 3])) < 1e-6 for k in range(3)):
             continue
         base = pancharatnam_phase(states)
         alpha, beta = rng.uniform(0, 2 * math.pi, 2)
-        rephased = [
-            PolarizationState(
-                states[0].a_r * cmath.exp(1j * alpha), states[0].a_l * cmath.exp(1j * alpha)
-            ),
-            PolarizationState(
-                states[1].a_r * cmath.exp(1j * beta), states[1].a_l * cmath.exp(1j * beta)
-            ),
-            states[2],
-        ]
+        rephased = [states[0] * cmath.exp(1j * alpha), states[1] * cmath.exp(1j * beta), states[2]]
         assert wrap_diff(pancharatnam_phase(rephased), base, 2 * math.pi) < 1e-10
 
 
@@ -190,9 +151,7 @@ def test_pancharatnam_equals_half_polygon_area():
     rng = np.random.default_rng(31)
     for _ in range(200):
         states = [random_state(rng) for _ in range(3)]
-        if any(
-            abs(state_overlap(states[k], states[(k + 1) % 3])) < 1e-3 for k in range(3)
-        ):
+        if any(abs(np.vdot(states[k], states[(k + 1) % 3])) < 1e-3 for k in range(3)):
             continue
         phase = pancharatnam_phase(states)
         omega = polygon_solid_angle([to_sphere(s) for s in states])
@@ -204,10 +163,10 @@ def test_pancharatnam_equals_half_polygon_area():
 
 def lune_vertices(phi3, phi4):
     return [
-        SpherePoint(0.0, 0.0, 1.0),
-        SpherePoint(math.cos(2 * phi4), math.sin(2 * phi4), 0.0),
-        SpherePoint(0.0, 0.0, -1.0),
-        SpherePoint(math.cos(2 * phi3), math.sin(2 * phi3), 0.0),
+        (0.0, 0.0, 1.0),
+        (math.cos(2 * phi4), math.sin(2 * phi4), 0.0),
+        (0.0, 0.0, -1.0),
+        (math.cos(2 * phi3), math.sin(2 * phi3), 0.0),
     ]
 
 
@@ -221,7 +180,7 @@ def test_polygon_octant_orientation():
     # The x->y->z octant runs counterclockwise seen from outside, which is the
     # negative orientation under the loop convention tied to the Pancharatnam
     # sign (R->4->L->3 positive); magnitude is the familiar pi/2.
-    octant = [SpherePoint(1, 0, 0), SpherePoint(0, 1, 0), SpherePoint(0, 0, 1)]
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     omega = polygon_solid_angle(octant)
     assert omega == pytest.approx(-math.pi / 2, abs=1e-12)
     assert polygon_solid_angle(octant[::-1]) == pytest.approx(math.pi / 2, abs=1e-12)
@@ -238,8 +197,7 @@ def test_polygon_matches_lhuilier_oracle():
             continue
         area = spherical_triangle_area(*vs)
         ccw = 1.0 if np.linalg.det(vs) > 0 else -1.0
-        points = [SpherePoint(*v) for v in vs]
-        assert polygon_solid_angle(points) == pytest.approx(-ccw * area, abs=1e-10)
+        assert polygon_solid_angle(vs) == pytest.approx(-ccw * area, abs=1e-10)
         checked += 1
 
 
@@ -267,12 +225,11 @@ def test_polygon_reversal_negates():
     for _ in range(100):
         vs = rng.normal(size=(4, 3))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        points = [SpherePoint(*v) for v in vs]
         try:
-            forward = polygon_solid_angle(points)
+            forward = polygon_solid_angle(vs)
         except DegenerateGeodesicError:
             continue
-        assert polygon_solid_angle(points[::-1]) == pytest.approx(-forward, abs=1e-10)
+        assert polygon_solid_angle(vs[::-1]) == pytest.approx(-forward, abs=1e-10)
 
 
 def test_pancharatnam_reversal_negates():
@@ -297,12 +254,7 @@ def simple_cap_polygon(rng, n=5):
     azimuths = 2 * math.pi * np.arange(n) / n + rng.uniform(-0.4, 0.4, n)
     polars = rng.uniform(0.3, 1.0, n)
     return [
-        SpherePoint(
-            *(
-                math.cos(t) * axis
-                + math.sin(t) * (math.cos(a) * u + math.sin(a) * w)
-            )
-        )
+        math.cos(t) * axis + math.sin(t) * (math.cos(a) * u + math.sin(a) * w)
         for a, t in zip(azimuths, polars)
     ]
 
@@ -327,13 +279,13 @@ def test_polygon_fan_decomposition():
 
 
 def test_polygon_degenerate_vertices_raise():
-    a = SpherePoint(1, 0, 0)
+    a = (1, 0, 0)
     with pytest.raises(DegenerateGeodesicError):
-        polygon_solid_angle([a, SpherePoint(-1, 0, 0), SpherePoint(0, 0, 1)])
+        polygon_solid_angle([a, (-1, 0, 0), (0, 0, 1)])
     with pytest.raises(DegenerateGeodesicError):
-        polygon_solid_angle([a, a, SpherePoint(0, 0, 1)])
+        polygon_solid_angle([a, a, (0, 0, 1)])
     with pytest.raises(ValueError):
-        polygon_solid_angle([a, SpherePoint(0, 1, 0)])
+        polygon_solid_angle([a, (0, 1, 0)])
 
 
 def test_polygon_range():
@@ -341,5 +293,5 @@ def test_polygon_range():
     for _ in range(200):
         vs = rng.normal(size=(3, 3))
         vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        omega = polygon_solid_angle([SpherePoint(*v) for v in vs])
+        omega = polygon_solid_angle(vs)
         assert -2 * math.pi < omega <= 2 * math.pi
