@@ -145,8 +145,11 @@ def propagate(
 
 
 def mean_intensity(traces: DetectorTraces, which: int) -> float:
-    """Time-averaged intensity at detector 3 or 4, summed run by run."""
-    return float((traces.counts * traces.values[:, detector_column(which)]).sum() / traces.n)
+    """Time-averaged intensity at detector 3 or 4, summed run by run in units
+    of 2**e > n (folded into the counts), so that the sum stays finite."""
+    _, e = math.frexp(traces.n)
+    weights = np.ldexp(traces.counts, -e)
+    return math.ldexp(float((weights * traces.values[:, detector_column(which)]).sum() / traces.n), e)
 
 
 # --- CSV export/import: "# dt=<seconds>" header, then "i3,i4" rows ---------

@@ -35,15 +35,16 @@ the values agree with per-sample sums to rounding, and nothing is written
 into the record, so one record may be estimated from several threads at
 once.
 
-``scan`` is the one g2 kernel.  It merges the segments once per lag and
-shares them between the kinds it is asked for.  Each of the (at most
-four) factor columns, I3 and I4 at t and at t + k, is built once per lag
-with its window mean and batch means, and every kind that reads it
-reuses it.  Per kind there is one centred product, length (x - mx)(y -
-my); its batch sums, like a column's, are one ``np.add.reduceat`` over the
-time-ordered segments.
-The batch covariances follow from the pairwise-update identity of Chan,
-Golub & LeVeque (1983): over the segments of batch j,
+``scan`` is the one g2 kernel.  It reads each detector column in units of the
+power of two at its peak: g2 does not depend on the intensity unit, and the
+scaling is exact, so g2 keeps its bits and no sum of products overflows.  It
+merges the segments once per lag and shares them between the kinds it is
+asked for.  Each of the (at most four) factor columns, I3 and I4 at t and at
+t + k, is built once per lag with its window mean and batch means, and every
+kind that reads it reuses it.  Per kind there is one centred product, length
+(x - mx)(y - my), whose batch sums, like a column's, are one ``np.add.reduceat``
+over the time-ordered segments.  The batch covariances follow from the
+pairwise-update identity of Chan, Golub & LeVeque (1983), over batch j:
 
     sum l (x - bx_j)(y - by_j) = sum l (x - mx)(y - my) - m (bx_j - mx)(by_j - my),
 
@@ -62,11 +63,10 @@ covariances and batch values are each one ``(kinds, batches)`` array,
 computed once per lag for all kinds; each lag writes its batch values into
 one ``(lags, kinds, batches)`` array, and the batch errors are one
 ``np.std`` per scan.  The per-segment arrays (factor columns, centred
-products) stay 1-d, and few of them are alive at once.  One pass over all
-lags makes arrays past the allocator's mmap threshold, and columns stacked
-into 2-d blocks keep more memory at the heap top, which the allocator then
-trims and grows again; either way every use faults in fresh pages, and
-both ran slower.
+products) stay 1-d, and few of them are alive at once.  Arrays over all lags
+(past the allocator's mmap threshold) and columns stacked into 2-d blocks
+(more memory at the heap top, trimmed and grown again) both fault in fresh
+pages on every use, and both ran slower.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ def scan(
         raise ValueError(f"unknown scan kind {unknown[0]!r}; expected one of {SCAN_KINDS}")
     pairs = [KIND_COLUMNS[kind] for kind in kinds]
     lags = [delay_lag(tau, traces.dt, traces.n) for tau in taus]
-    columns = tuple(traces.values.T)  # I3 and I4 per run
+    # I3 and I4 per run, each in units of the power of two at its peak
+    columns = [np.ldexp(column, -math.frexp(column.max())[1]) for column in traces.values.T]
     batch_vals = np.empty((len(lags), len(pairs), N_BATCHES))
     values = [_scan_lag(traces, columns, k, pairs, block) for k, block in zip(lags, batch_vals)]
     # Each row of one std over the last axis is the same bits as its own 1-d std.

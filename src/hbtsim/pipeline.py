@@ -11,6 +11,7 @@ and a multi-seed study must space its seeds at least ``sim.repeats`` apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,18 +102,19 @@ def estimate_point(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    scans, i3_vals, i4_vals = [], [], []
+    scans, means = [], []
     for r in range(repeats):
         traces = simulate_detectors(source_cfg, bench_cfg, duration, dt, seed, r, point)
         scans.append(scan(traces, taus))
-        i3_vals.append(mean_intensity(traces, 3))
-        i4_vals.append(mean_intensity(traces, 4))
+        means.append((mean_intensity(traces, 3), mean_intensity(traces, 4)))
+    # Each detector's mean over the repeats, summed in units of 2**e > repeats so that it stays finite.
+    _, e = math.frexp(repeats)
+    i3_mean, i4_mean = (math.ldexp(float(np.mean(np.ldexp(v, -e))), e) for v in zip(*means))
     # Per kind, the results of every repeat at each tau.
     g2 = {kind: tuple(map(_combine, zip(*per_repeat))) for kind, per_repeat in zip(SCAN_KINDS, zip(*scans))}
     return PointEstimates(
         bench=bench_cfg,
         taus=tuple(float(t) for t in taus),
         g2=g2,
-        i3_mean=float(np.mean(i3_vals)),
-        i4_mean=float(np.mean(i4_vals)),
+        i3_mean=i3_mean, i4_mean=i4_mean,
     )

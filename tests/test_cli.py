@@ -203,13 +203,34 @@ def test_config_line_ends(tmp_path, text):
 @pytest.mark.parametrize("line, field", [
     ("sweep.phi34_start = nan", "sweep: phi34_start"),
     ("sweep.phi34_end = inf", "sweep: phi34_end"),
-    ("bench.balance = 1e300", "bench.balance"),
 ])
 def test_out_of_range_value_names_its_field(tmp_path, capsys, line, field):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_CFG + line + "\n")
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o.csv")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_the_largest_balance_runs_every_record_command(tmp_path):
+    # Source 2 outshines source 1 by 1.8e308, so the visibility 4b/(1+b)^2
+    # rounds to 0: every estimate and every oracle cell is 1, and the mean
+    # intensities (1 + b)/4 stay finite.
+    cfg = tmp_path / "bright.cfg"
+    cfg.write_text(f"{SMALL_CFG}bench.balance = {sys.float_info.max!r}\n")
+    traces, g2, sweep = tmp_path / "traces.csv", tmp_path / "g2.csv", tmp_path / "sweep.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(traces)]) == 0
+        assert main(["analyze", str(traces), "--tau-max", "2e-5", "--tau-steps", "2", "--out", str(g2)]) == 0
+        assert main(["sweep", "--config", str(cfg), "--out", str(sweep)]) == 0
+    for path, ones in ((g2, ["g2_cross", "g2_self3", "g2_self4"]),
+                       (sweep, ["g2_cross", "g2_self3", "g2_self4", "oracle_g2_cross", "oracle_g2_self"])):
+        columns, rows = read_rows(path)
+        cells = np.array(rows, dtype=float)
+        assert np.isfinite(cells).all()
+        assert (cells[:, [columns.index(name) for name in ones]] == 1.0).all()
+        means = cells[:, [columns.index("i3_mean"), columns.index("i4_mean")]]
+        assert np.allclose(means, sys.float_info.max / 4.0, rtol=1e-12)
 
 
 @pytest.mark.parametrize("duration, tau_max, field", [
@@ -416,8 +437,7 @@ def test_infinite_t_max_is_named(tmp_path, capsys, value):
     ("sweep.phi34_start = 1e308\nsweep.phi34_end = -1e308\n", "sweep.phi34_start, sweep.phi34_end"),
     ("bench.phi3 = 1e308\nsweep.phi34_end = 1e308\n", "bench.phi3, sweep.phi34_end"),
     ("bench.phi3 = -1e308\nsweep.phi34_start = -1e308\nsweep.phi34_end = 0\n", "bench.phi3, sweep.phi34_start"),
-    ("sweep.phi34_start = -1e308\nsweep.phi34_end = -1e307\n", "bench.phi3, sweep.phi34_start"),
-], ids=["span", "negative_span", "phi4_at_end", "phi4_at_start", "lune_at_start"])
+], ids=["span", "negative_span", "phi4_at_end", "phi4_at_start"])
 def test_sweep_angles_that_overflow_are_named(tmp_path, capsys, monkeypatch, lines, field):
     monkeypatch.setattr("hbtsim.cli._sweep_point_job", lambda job: pytest.fail("a sweep point ran"))
     path = tmp_path / "angles.cfg"
@@ -428,6 +448,21 @@ def test_sweep_angles_that_overflow_are_named(tmp_path, capsys, monkeypatch, lin
     assert capsys.readouterr().err.startswith(f"hbt: error: {field}: ")
 
 
+def test_sweep_of_angles_whose_lune_overflows_has_finite_cells(tmp_path):
+    # 4*phi34 overflows at phi34 = -1e308, but nothing in the sweep forms
+    # it: the oracle reads the bench's amplitude table.
+    path = tmp_path / "angles.cfg"
+    path.write_text("sim.duration = 2e-3\nsweep.phi34_start = -1e308\nsweep.phi34_end = -1e307\n"
+                    "sweep.phi34_steps = 2\nsweep.tau_steps = 2\n")
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = np.array(read_rows(out)[1], dtype=float)
+    assert rows.shape == (4, 12) and np.isfinite(rows).all()
+    assert list(rows[:, 0]) == [-1e308, -1e308, -1e307, -1e307]
+
+
 def test_one_delay_step_at_zero_tau_max_is_accepted():
     cfg = build_run_config({"sweep.tau_max": 0.0, "sweep.tau_steps": 1})
     assert list(sweep_grids(cfg)[1]) == [0.0]
@@ -436,11 +471,10 @@ def test_one_delay_step_at_zero_tau_max_is_accepted():
 def test_readme_config_block_is_the_schema_with_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
-    lines = [line.split("#")[0].strip() for line in block.splitlines()]
-    lines = [line for line in lines if line]
-    assert sorted(line.split("=")[0].strip() for line in lines) == sorted(CONFIG_KEYS)
+    keys = [line.split("=")[0].strip() for line in block.splitlines() if line and not line.startswith("#")]
+    assert sorted(keys) == sorted(CONFIG_KEYS)
     path = tmp_path / "readme.cfg"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(block)
     assert parse_config_file(path) == default_run_config()
 
 
@@ -853,6 +887,40 @@ def test_analyze_constant_file_gives_unity(tmp_path):
     for row in rows:
         for kind in ("g2_cross", "g2_self3", "g2_self4"):
             assert float(row[columns.index(kind)]) == 1.0
+
+
+@pytest.mark.parametrize("scale", [(1e200, 1e200), (1e-200, 1e-200), (1.0, 1e300)],
+                         ids=["bright", "dim", "one_bright"])
+def test_analyze_takes_a_record_in_any_intensity_unit(tmp_path, scale):
+    # The sums of products of these intensities leave the float range, but
+    # g2 does not depend on the unit: the cells are those of the record in
+    # units near 1, to the rounding of multiplying it by ``scale``.
+    cfg = default_run_config()
+    traces = simulate_detectors(cfg.source, cfg.bench, 2e-3, 1e-7, seed=7)
+    scaled = DetectorTraces(traces.dt, traces.n, traces.starts, traces.values * scale)
+    cells = []
+    for record, path, out in ((traces, tmp_path / "unit.csv", tmp_path / "unit_g2.csv"),
+                              (scaled, tmp_path / "scaled.csv", tmp_path / "scaled_g2.csv")):
+        save_detector_traces(record, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", str(path), "--tau-max", "5e-5", "--out", str(out)]) == 0
+        cells.append(np.array(read_rows(out)[1], dtype=float))
+    want, got = cells
+    assert np.isfinite(got).all()
+    assert np.allclose(got[:, :7], want[:, :7], rtol=1e-12, atol=0.0)
+    assert np.allclose(got[:, 7:], want[:, 7:] * scale, rtol=1e-12, atol=0.0)
+
+
+def test_analyze_delay_of_minus_zero_is_written_as_zero(tmp_path):
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, 500, [0, 100], [[0.2, 0.4], [0.3, 0.1]]), path)
+    outs = {taus: tmp_path / f"{i}.csv" for i, taus in enumerate(["-0", "0", "-0.0,1e-7", "0,1e-7"])}
+    for taus, out in outs.items():
+        assert main(["analyze", str(path), f"--taus={taus}", "--out", str(out)]) == 0
+    assert outs["-0"].read_text().splitlines()[1].startswith("0.0,")
+    assert outs["-0"].read_bytes() == outs["0"].read_bytes()
+    assert outs["-0.0,1e-7"].read_bytes() == outs["0,1e-7"].read_bytes()
 
 
 def test_analyze_two_row_file_with_delay_is_exit_2(tmp_path, capsys):

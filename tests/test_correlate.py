@@ -110,6 +110,20 @@ def test_scale_invariance(pipeline_traces):
         assert abs(g2_cross(scaled, 0.0).value - base) < 1e-12
 
 
+@pytest.mark.parametrize("k", [-1000, -500, -1, 1, 500, 1000])
+def test_power_of_two_units_keep_every_bit(pipeline_traces, k):
+    # g2 reads each detector in units of the power of two at its peak, so a
+    # record in units 2**k apart gives the same bits; the mean intensities
+    # are those times 2**k, exactly.
+    tr = pipeline_traces
+    scaled = DetectorTraces(tr.dt, tr.n, tr.starts, np.ldexp(tr.values, k))
+    taus = [0.0, 1e-7, 2 * T_C, 5 * T_C]
+    for want, got in zip(scan(tr, taus), scan(scaled, taus)):
+        assert [(r.value, r.std_error) for r in got] == [(r.value, r.std_error) for r in want]
+    for which in (3, 4):
+        assert mean_intensity(scaled, which) == math.ldexp(mean_intensity(tr, which), k)
+
+
 def test_values_live_in_phase_noise_band(zero_delay_sweep):
     # pure phase noise keeps g2 inside [0.5, 1.5] (thermal light would reach 2)
     for pt in zero_delay_sweep.points:

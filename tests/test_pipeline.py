@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from hbtsim.bench import BenchConfig
+from hbtsim.bench import BenchConfig, mean_intensity
 from hbtsim.correlate import SCAN_KINDS, CorrelationResult, g2_cross, scan
 from hbtsim.pipeline import _combine, detector_streams, estimate_point, simulate_detectors
 from hbtsim.source import default_source_config, generate_trace
@@ -73,6 +74,19 @@ def test_estimate_point_combines_repeats():
     assert list(est.g2) == list(SCAN_KINDS)
     with pytest.raises(ValueError):
         estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, repeats=0)
+
+
+def test_repeat_mean_intensity_is_np_mean_and_stays_finite():
+    # The repeats' mean intensities are np.mean's bits, and stay finite where
+    # their sum would not: five repeats at the largest balance.
+    est = estimate_point(SRC, BENCH, 2e-4, 1e-7, seed=5, taus=[0.0], repeats=5)
+    records = [simulate_detectors(SRC, BENCH, 2e-4, 1e-7, seed=5, repeat=r) for r in range(5)]
+    assert est.i3_mean == float(np.mean([mean_intensity(tr, 3) for tr in records]))
+    assert est.i4_mean == float(np.mean([mean_intensity(tr, 4) for tr in records]))
+    bright = BenchConfig(phi3=0.0, phi4=math.pi / 2, balance=sys.float_info.max)
+    est = estimate_point(SRC, bright, 2e-4, 1e-7, seed=5, taus=[0.0], repeats=5)
+    assert est.i3_mean == pytest.approx(sys.float_info.max / 4.0, rel=1e-12)
+    assert est.i4_mean == pytest.approx(sys.float_info.max / 4.0, rel=1e-12)
 
 
 def test_one_repeat_keeps_its_scan_results():
