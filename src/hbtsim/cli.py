@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import pickle
+import re
 import sys
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager, suppress
@@ -109,15 +110,15 @@ class RunConfig:
 # Lower bounds on the bytes per trace sample, phase dwell, sweep row,
 # analyze delay and held result: tracemalloc at the default config measures
 # 3.0-3.5 B per sample in every command (runs, streamed CSVs), plus about
-# 0.15 MB of CSV write blocks in simulate, 1.8 kB per row, 1.3 kB per delay
-# and 218-328 B per result of a repeat's scan (101 to 1 delays); the peak of
-# a trace (generate_trace, simulate_detectors) is 37-180 B per dwell
-# wherever the dwells outnumber the samples.
+# 0.15 MB of CSV write blocks in simulate, 0.9-2.0 kB per row, 1.1 kB per
+# delay and 18-295 B per result (a value and an error) of a repeat's scan
+# (101 to 1 or 2 delays); the peak of a trace (generate_trace,
+# simulate_detectors) is 37-180 B per dwell where dwells outnumber samples.
 BYTES_PER_SAMPLE = 2
 BYTES_PER_DWELL = 32
-BYTES_PER_ROW = 1000
+BYTES_PER_ROW = 800
 BYTES_PER_DELAY = 500
-BYTES_PER_RESULT = 200
+BYTES_PER_RESULT = 16
 
 
 def check_fits_in_memory(field: str, count: float, what: str, item_bytes: int) -> None:
@@ -243,12 +244,12 @@ def _g2_columns(kinds) -> list[str]:
     return ["tau_s", *(f"g2_{k}{s}" for k in kinds for s in ("", "_err")), "i3_mean", "i4_mean"]
 
 
-def _g2_cells(taus, scans, i3_mean: float, i4_mean: float) -> Iterator[list[str]]:
-    """The cells of the ``_g2_columns`` rows, one row per delay of ``taus``;
-    ``scans`` holds each kind's results over ``taus``."""
+def _g2_cells(taus, values, errors, i3_mean: float, i4_mean: float) -> Iterator[list[str]]:
+    """The ``_g2_columns`` rows of ``scan``'s ``values`` and ``errors``, one per delay of ``taus``."""
     means = [_fmt(i3_mean), _fmt(i4_mean)]
-    for tau, *results in zip(taus, *scans):
-        yield [_fmt(tau), *(cell for r in results for cell in (_fmt(r.value), _fmt(r.std_error))), *means]
+    columns = [column for pair in zip(values.tolist(), errors.tolist()) for column in pair]  # value, error per kind
+    for tau, *cells in zip(taus, *columns):
+        yield [_fmt(tau), *map(_fmt, cells), *means]
 
 
 SWEEP_COLUMNS = ["phi34_rad", *_g2_columns(SCAN_KINDS), "oracle_g2_cross", "oracle_g2_self"]
@@ -433,7 +434,7 @@ def sweep_rows(cfg: RunConfig, points: list[PointEstimates]) -> list[list[str]]:
     for pt in points:
         oracle = predict_g2(pt.bench, p2s)
         phi34 = _fmt(pt.bench.phi4 - pt.bench.phi3)
-        cells = _g2_cells(pt.taus, pt.g2.values(), pt.i3_mean, pt.i4_mean)
+        cells = _g2_cells(pt.taus, pt.g2, pt.g2_err, pt.i3_mean, pt.i4_mean)
         for row, cross, self_ in zip(cells, oracle["cross"].tolist(), oracle["self3"].tolist()):
             rows.append([phi34, *row, _fmt(cross), _fmt(self_)])
     return rows
@@ -458,7 +459,7 @@ def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
 
 def cmd_analyze(traces: DetectorTraces, taus, kinds: list[str], out_path) -> None:
     """Run the correlation estimators offline on recorded traces."""
-    cells = _g2_cells(taus, scan(traces, taus, kinds), mean_intensity(traces, 3), mean_intensity(traces, 4))
+    cells = _g2_cells(taus, *scan(traces, taus, kinds), mean_intensity(traces, 3), mean_intensity(traces, 4))
     write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), map(",".join, cells))
 
 
@@ -495,8 +496,14 @@ def predict_report(bench: BenchConfig) -> str:
 # --- argument parsing ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse reads a value that starts with '-' as a flag: hint the '=' form
+        flag = re.fullmatch(r"argument (--[\w-]+): expected one argument", message)
+        super().error(message + (f"; pass a value that starts with '-' as {flag[1]}=VALUE" if flag else ""))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hbt",
         description="Phase-noise intensity-interferometry bench simulator",
     )

@@ -51,22 +51,24 @@ pairwise-update identity of Chan, Golub & LeVeque (1983), over batch j:
 so no column is centred on its batch means.  A batch where
 |(bx_j - mx)(by_j - my)| exceeds bx_j by_j (one far dimmer than the window)
 would lose more than an ulp of its value to that subtraction, so it alone
-is summed again about its own means.  A kind's results are the same bits whichever kinds share
-its scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are one-kind
-scans.  Every delay is checked (``delay_lag``) before the first lag is
-scanned, and lags are scanned one at a time, so the temporaries stay those
-of one lag.
+is summed again about its own means, in units of their powers of two so
+that no product underflows.  A kind's results are the same bits whichever
+kinds share its scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are
+one-kind scans.  Every delay is checked (``delay_lag``) before the first
+lag is scanned, and lags are scanned one at a time, so the temporaries
+stay those of one lag.
 
 Most of a lag's cost is per call, not per segment, so the small arrays are
 worked in blocks.  The kinds' batch and window means, batch sums, shifts,
 covariances and batch values are each one ``(kinds, batches)`` array,
-computed once per lag for all kinds; each lag writes its batch values into
-one ``(lags, kinds, batches)`` array, and the batch errors are one
-``np.std`` per scan.  The per-segment arrays (factor columns, centred
-products) stay 1-d, and few of them are alive at once.  Arrays over all lags
-(past the allocator's mmap threshold) and columns stacked into 2-d blocks
-(more memory at the heap top, trimmed and grown again) both fault in fresh
-pages on every use, and both ran slower.
+computed once per lag for all kinds; each lag writes its values into one
+``(lags, kinds)`` array and its batch values into one ``(lags, kinds,
+batches)`` array, and the batch errors are one ``np.std`` per scan.  The
+per-segment arrays (factor columns, centred products) stay 1-d, and few of
+them are alive at once.  Arrays over all lags (past the allocator's mmap
+threshold) and columns stacked into 2-d blocks (more memory at the heap
+top, trimmed and grown again) both fault in fresh pages on every use, and
+both ran slower.
 """
 
 from __future__ import annotations
@@ -159,9 +161,10 @@ def scan(
     traces: DetectorTraces,
     taus: Sequence[float],
     kinds: Sequence[str] = SCAN_KINDS,
-) -> list[list[CorrelationResult]]:
-    """g2 of each of ``kinds`` at each delay of ``taus``: one list per kind,
-    in the order of ``taus``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """g2 of each of ``kinds`` at each delay of ``taus``, and its standard
+    error: two float arrays of shape ``(len(kinds), len(taus))``, a row per
+    kind and a column per delay.
 
     Kind ``cross`` correlates x = I3 at t with y = I4 at t + tau, ``self3``
     and ``self4`` a detector with itself.  The module docstring says how
@@ -174,22 +177,20 @@ def scan(
     lags = [delay_lag(tau, traces.dt, traces.n) for tau in taus]
     # I3 and I4 per run, each in units of the power of two at its peak
     columns = [np.ldexp(column, -math.frexp(column.max())[1]) for column in traces.values.T]
+    values = np.empty((len(lags), len(pairs)))
     batch_vals = np.empty((len(lags), len(pairs), N_BATCHES))
-    values = [_scan_lag(traces, columns, k, pairs, block) for k, block in zip(lags, batch_vals)]
+    for k, row, block in zip(lags, values, batch_vals):
+        _scan_lag(traces, columns, k, pairs, row, block)
     # Each row of one std over the last axis is the same bits as its own 1-d std.
-    std_errors = (np.std(batch_vals, axis=2, ddof=1) / math.sqrt(N_BATCHES)).tolist()
-    return [
-        [
-            CorrelationResult(value=value[i], tau=k * traces.dt, n_samples=traces.n - k, std_error=std_error[i])
-            for k, value, std_error in zip(lags, values, std_errors)
-        ]
-        for i in range(len(pairs))
-    ]
+    errors = np.std(batch_vals, axis=2, ddof=1) / math.sqrt(N_BATCHES)
+    if not (errors >= 0.0).all():  # a NaN never reaches a CSV
+        raise ValueError("std_error must be >= 0")
+    return values.T, errors.T
 
 
-def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> list[float]:
-    """g2 at lag ``k`` of each (x, y) column pair of ``pairs``; the batch
-    values go to the rows of ``batch_vals``, one per pair."""
+def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, values, batch_vals) -> None:
+    """g2 at lag ``k`` of each (x, y) column pair of ``pairs`` into ``values``,
+    and its batch values into the rows of ``batch_vals``, one per pair."""
     n = traces.n - k
     m = n // N_BATCHES
     # Batch j covers [j m, (j + 1) m) and is the segments edges[j]:edges[j + 1]
@@ -228,38 +229,40 @@ def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, batch_vals) -> lis
         sums[i] = s[:N_BATCHES]
     # 1 + cov/(mx*my) == <xy>/(<x><y>) but exact (1.0) for constant inputs
     # and free of the large-term cancellation.
-    values = 1.0 + window / n / (mx * my)[:, 0]
+    np.add(1.0, window / n / (mx * my)[:, 0], out=values)
     # Each batch's own centred product sum is the window-centred one less
     # m (bx - mx)(by - my) (Chan, Golub & LeVeque 1983).  Where that term
     # exceeds bx by (a batch far dimmer than the window), its rounding would
     # exceed an ulp of the batch value, so such a batch is summed again
-    # about its own means.
+    # about its own means, in units of their powers of two (no underflow).
     shift = (bx - mx) * (by - my)
     cov = sums / m - shift
     norm = bx * by
     for i, j in zip(*(np.abs(shift) > norm).nonzero()):
         (a, b), seg = pairs[i], slice(edges[j], edges[j + 1])
-        x, y = columns[a][runs[0][seg]], columns[b][runs[shifted][seg]]
-        cov[i, j] = np.sum(length[seg] * (x - bx[i, j]) * (y - by[i, j])) / m
+        (mean_x, ex), (mean_y, ey) = math.frexp(bx[i, j]), math.frexp(by[i, j])
+        x, y = np.ldexp(columns[a][runs[0][seg]], -ex), np.ldexp(columns[b][runs[shifted][seg]], -ey)
+        cov[i, j] = np.sum(length[seg] * (x - mean_x) * (y - mean_y)) / m
+        norm[i, j] = mean_x * mean_y
     np.divide(cov, norm, out=batch_vals)
     batch_vals += 1.0
-    return values.tolist()
 
 
 def g2_cross(traces: DetectorTraces, tau: float) -> CorrelationResult:
     """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
-    return scan(traces, [tau], ("cross",))[0][0]
+    return g2_delay_scan(traces, "cross", [tau])[0]
 
 
 def g2_self(traces: DetectorTraces, which: int, tau: float) -> CorrelationResult:
     """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
-    kind = ("self3", "self4")[detector_column(which)]
-    return scan(traces, [tau], (kind,))[0][0]
+    return g2_delay_scan(traces, ("self3", "self4")[detector_column(which)], [tau])[0]
 
 
 def g2_delay_scan(traces: DetectorTraces, kind: str, taus: Sequence[float]) -> list[CorrelationResult]:
-    """The one-kind ``scan``."""
-    return scan(traces, taus, (kind,))[0]
+    """The one-kind ``scan``, one result per delay of ``taus``."""
+    (values,), (errors,) = scan(traces, taus, (kind,))
+    lags = [delay_lag(tau, traces.dt, traces.n) for tau in taus]
+    return [CorrelationResult(v, k * traces.dt, traces.n - k, e) for k, v, e in zip(lags, values.tolist(), errors.tolist())]
 
 
 def first_order_coherence(trace: FieldTrace, tau: float) -> complex:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bench import BenchConfig, DetectorTraces, mean_intensity, propagate
-from .correlate import SCAN_KINDS, CorrelationResult, scan
+from .correlate import scan
 # The benchmark's tracer patches these two names (ROADMAP item 4); nothing
 # here calls them.
 from .correlate import g2_cross, g2_self  # noqa: F401
@@ -52,35 +52,15 @@ def simulate_detectors(
 @dataclass(frozen=True)
 class PointEstimates:
     """Repeat-averaged estimates of the bench ``bench`` over the delays
-    ``taus``: ``g2`` maps each kind of ``correlate.SCAN_KINDS``, in that
-    order, to its results at ``taus``."""
+    ``taus``: ``g2`` and ``g2_err`` are ``correlate.scan``'s values and errors,
+    a row per kind of ``correlate.SCAN_KINDS`` and a column per delay."""
 
     bench: BenchConfig
     taus: tuple[float, ...]
-    g2: dict[str, tuple[CorrelationResult, ...]]
+    g2: np.ndarray
+    g2_err: np.ndarray
     i3_mean: float
     i4_mean: float
-
-
-def _combine(per_repeat: tuple[CorrelationResult, ...]) -> CorrelationResult:
-    """The mean of the repeats' values with their errors added in quadrature.
-
-    One repeat is its own result.  The formula gave the same bits there: the
-    sums and the division by one return its value, and sqrt(e * e) is e
-    exactly for e = 0 and 2**-511 <= e < 2**512.  Below that range the
-    square underflowed, and above it raised ``OverflowError``.
-    """
-    r = len(per_repeat)
-    if r == 1:
-        return per_repeat[0]
-    value = sum(x.value for x in per_repeat) / r
-    err = float(np.sqrt(sum(x.std_error ** 2 for x in per_repeat))) / r
-    return CorrelationResult(
-        value=value,
-        tau=per_repeat[0].tau,
-        n_samples=sum(x.n_samples for x in per_repeat),
-        std_error=err,
-    )
 
 
 def estimate_point(
@@ -97,8 +77,9 @@ def estimate_point(
 
     Every tau in the grid is evaluated on the same records (a delay scan of
     each repeat's trace; the scans are all held until the end, and
-    ``cli.sweep_grids`` charges them); repeats are combined by plain
-    averaging with quadrature-combined standard errors.
+    ``cli.sweep_grids`` charges them).  One repeat is its own scan; more are
+    averaged with errors in quadrature, the bits of ``sum(v) / r`` and
+    ``sqrt(sum(e ** 2)) / r`` in Python floats (``np.float_power``, like ``**``, calls libm ``pow``).
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -110,11 +91,13 @@ def estimate_point(
     # Each detector's mean over the repeats, summed in units of 2**e > repeats so that it stays finite.
     _, e = math.frexp(repeats)
     i3_mean, i4_mean = (math.ldexp(float(np.mean(np.ldexp(v, -e))), e) for v in zip(*means))
-    # Per kind, the results of every repeat at each tau.
-    g2 = {kind: tuple(map(_combine, zip(*per_repeat))) for kind, per_repeat in zip(SCAN_KINDS, zip(*scans))}
+    g2, g2_err = scans[0]
+    if repeats > 1:
+        g2 = sum(values for values, _ in scans) / repeats
+        g2_err = np.sqrt(sum(np.float_power(errors, 2.0) for _, errors in scans)) / repeats
     return PointEstimates(
         bench=bench_cfg,
         taus=tuple(float(t) for t in taus),
-        g2=g2,
+        g2=g2, g2_err=g2_err,
         i3_mean=i3_mean, i4_mean=i4_mean,
     )

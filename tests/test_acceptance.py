@@ -43,7 +43,7 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 def fit_fringe(points):
     phi = np.array([p.bench.phi4 - p.bench.phi3 for p in points])
-    g2 = np.array([p.g2["cross"][0].value for p in points])
+    g2 = np.array([p.g2[SCAN_KINDS.index("cross"), 0] for p in points])
     design = np.column_stack([np.cos(2 * phi), np.ones_like(phi)])
     coef, *_ = np.linalg.lstsq(design, g2, rcond=None)
     return coef  # (A, B)
@@ -72,8 +72,9 @@ def test_criterion_2_fringe_range(zero_delay_sweep):
 
 
 def test_criterion_3_self_correlation_nonlocality(zero_delay_sweep):
-    vals = np.array([p.g2["self4"][0].value for p in zero_delay_sweep.points])
-    errs = np.array([p.g2["self4"][0].std_error for p in zero_delay_sweep.points])
+    self4 = SCAN_KINDS.index("self4")
+    vals = np.array([p.g2[self4, 0] for p in zero_delay_sweep.points])
+    errs = np.array([p.g2_err[self4, 0] for p in zero_delay_sweep.points])
     spread = vals.max() - vals.min()
     ok = spread <= 4.0 * errs.mean() and abs(vals.mean() - 1.5) <= 0.05
     report(
@@ -113,9 +114,9 @@ def test_criterion_5_decoherence_limit():
     z = []
     for seed in range(10):
         traces = simulate_detectors(SRC, bench, 2e-2, 1e-7, seed=seed)
-        z.append([(r.value - oracle[kind]) / r.std_error
-                  for kind, results in zip(SCAN_KINDS, scan(traces, taus))
-                  for r, oracle in zip(results, oracles)])
+        values, errors = scan(traces, taus)
+        want = np.array([[oracle[kind] for oracle in oracles] for kind in SCAN_KINDS])
+        z.append(((values - want) / errors).ravel())
     z = np.array(z)
     per_seed = z.mean(axis=1)
     cell_bound = stats.t.isf(0.5e-5, 19)

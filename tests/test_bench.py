@@ -265,9 +265,10 @@ def test_every_kind_agrees_with_oracle_at_random_phases():
         cfg = BenchConfig(phi3=phi3, phi4=phi3 + phi34, phi_d=phi_d, balance=balance)
         traces = simulate_detectors(SRC, cfg, 2e-2, 1e-7, seed=seed)
         oracle = predict_g2(cfg)
-        for kind, (result,) in zip(SCAN_KINDS, scan(traces, [0.0])):
-            z = (result.value - oracle[kind]) / result.std_error
-            assert abs(z) < 5.0, (kind, seed, result.value, oracle[kind])
+        values, errors = scan(traces, [0.0])
+        for kind, (value,), (error,) in zip(SCAN_KINDS, values, errors):
+            z = (value - oracle[kind]) / error
+            assert abs(z) < 5.0, (kind, seed, value, oracle[kind])
         for which in (3, 4):
             assert abs(mean_intensity(traces, which) / ((1.0 + balance) / 4.0) - 1.0) < 0.1
 
@@ -283,8 +284,9 @@ def test_every_kind_follows_the_no_jump_oracle_at_any_dt(dt):
     z = {kind: [] for kind in SCAN_KINDS}
     for seed in range(12):
         traces = simulate_detectors(SRC, cfg, 2e-2, dt, seed=seed)
-        for kind, results in zip(SCAN_KINDS, scan(traces, [k * dt for k in lags])):
-            z[kind].append([(r.value - o[kind]) / r.std_error for r, o in zip(results, oracles)])
+        values, errors = scan(traces, [k * dt for k in lags])
+        for kind, kind_values, kind_errors in zip(SCAN_KINDS, values, errors):
+            z[kind].append([(v - o[kind]) / e for v, e, o in zip(kind_values, kind_errors, oracles)])
     for kind, zs in z.items():
         zs = np.array(zs)
         assert np.abs(zs).max() < 5.0, (kind, zs)

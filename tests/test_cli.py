@@ -923,6 +923,19 @@ def test_analyze_delay_of_minus_zero_is_written_as_zero(tmp_path):
     assert outs["-0.0,1e-7"].read_bytes() == outs["0,1e-7"].read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--taus", "-0,1e-7"), ("--tau-max", "-1e-7")])
+def test_a_flag_value_that_starts_with_a_dash_is_hinted_to_its_equals_form(tmp_path, capsys, flag, value):
+    # argparse reads such a value as a flag unless it looks like a negative number.
+    path = tmp_path / "const.csv"
+    save_detector_traces(DetectorTraces(1e-7, 500, [0], [[0.2, 0.4]]), path)
+    out = tmp_path / "o.csv"
+    assert main(["analyze", str(path), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"hbt analyze: error: argument {flag}: expected one argument; pass a value that starts with '-' as {flag}=VALUE\n"
+    )
+    assert not out.exists()
+
+
 def test_analyze_two_row_file_with_delay_is_exit_2(tmp_path, capsys):
     path = tmp_path / "tiny.csv"
     path.write_text("# dt=1e-07\n0.1,0.2\n0.1,0.2\n")

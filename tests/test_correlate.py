@@ -68,8 +68,9 @@ def test_pipeline_self_correlation_height(pipeline_traces):
 
 
 def test_self_correlation_ignores_polariser_angle(zero_delay_sweep):
-    vals = np.array([pt.g2["self4"][0].value for pt in zero_delay_sweep.points])
-    errs = np.array([pt.g2["self4"][0].std_error for pt in zero_delay_sweep.points])
+    self4 = SCAN_KINDS.index("self4")
+    vals = np.array([pt.g2[self4, 0] for pt in zero_delay_sweep.points])
+    errs = np.array([pt.g2_err[self4, 0] for pt in zero_delay_sweep.points])
     assert vals.max() - vals.min() <= 4.0 * errs.mean()
 
 
@@ -118,8 +119,7 @@ def test_power_of_two_units_keep_every_bit(pipeline_traces, k):
     tr = pipeline_traces
     scaled = DetectorTraces(tr.dt, tr.n, tr.starts, np.ldexp(tr.values, k))
     taus = [0.0, 1e-7, 2 * T_C, 5 * T_C]
-    for want, got in zip(scan(tr, taus), scan(scaled, taus)):
-        assert [(r.value, r.std_error) for r in got] == [(r.value, r.std_error) for r in want]
+    assert bits(scan(scaled, taus)) == bits(scan(tr, taus))
     for which in (3, 4):
         assert mean_intensity(scaled, which) == math.ldexp(mean_intensity(tr, which), k)
 
@@ -127,9 +127,8 @@ def test_power_of_two_units_keep_every_bit(pipeline_traces, k):
 def test_values_live_in_phase_noise_band(zero_delay_sweep):
     # pure phase noise keeps g2 inside [0.5, 1.5] (thermal light would reach 2)
     for pt in zero_delay_sweep.points:
-        for series in (pt.g2["cross"], pt.g2["self3"], pt.g2["self4"]):
-            res = series[0]
-            assert 0.5 - 5 * res.std_error <= res.value <= 1.5 + 5 * res.std_error
+        assert pt.g2.shape == pt.g2_err.shape == (len(SCAN_KINDS), 1)
+        assert np.all((0.5 - 5 * pt.g2_err <= pt.g2) & (pt.g2 <= 1.5 + 5 * pt.g2_err))
 
 
 @pytest.mark.parametrize("estimate", [
@@ -300,15 +299,13 @@ def test_scan_matches_the_per_sample_estimators(traces):
     n = traces.n
     lags = [0, 1, n // 4, n // 2]  # n // 2 clips the shifted starts at 0
     columns = {"cross": (traces.i3, traces.i4), "self3": (traces.i3, traces.i3), "self4": (traces.i4, traces.i4)}
-    scans = scan(traces, [float(k) for k in lags])
-    assert len(scans) == len(SCAN_KINDS)
-    for kind, results in zip(SCAN_KINDS, scans):
-        assert [r.tau for r in results] == lags
-        for k, got in zip(lags, results):
-            value, std_error = per_sample_g2(*columns[kind], k)
-            assert_close(got.value, value)
-            assert_close(got.std_error, std_error)
-            assert got.n_samples == n - k
+    values, errors = scan(traces, [float(k) for k in lags])
+    assert values.shape == errors.shape == (len(SCAN_KINDS), len(lags))
+    for kind, kind_values, kind_errors in zip(SCAN_KINDS, values, errors):
+        for k, value, std_error in zip(lags, kind_values, kind_errors):
+            want_value, want_error = per_sample_g2(*columns[kind], k)
+            assert_close(value, want_value)
+            assert_close(std_error, want_error)
 
 
 def small_correlation_records():
@@ -335,27 +332,64 @@ def test_scan_keeps_small_correlations_against_large_means(traces):
     n = traces.n
     columns = {"cross": (traces.i3, traces.i4), "self3": (traces.i3, traces.i3), "self4": (traces.i4, traces.i4)}
     lags = [0, 1, n // 4, n // 2]
-    for kind, results in zip(SCAN_KINDS, scan(traces, [float(k) for k in lags])):
-        for k, got in zip(lags, results):
+    values, errors = scan(traces, [float(k) for k in lags])
+    for kind, kind_values, kind_errors in zip(SCAN_KINDS, values, errors):
+        for k, got_value, got_error in zip(lags, kind_values, kind_errors):
             value, std_error = per_sample_g2(*columns[kind], k)
-            assert abs(got.value - value) <= 2 * np.spacing(1.0), (kind, k)
-            assert abs(got.std_error - std_error) <= 1e-12 * std_error, (kind, k)
+            assert abs(got_value - value) <= 2 * np.spacing(1.0), (kind, k)
+            assert abs(got_error - std_error) <= 1e-12 * std_error, (kind, k)
 
 
-def bits(results):
-    return [(r.value.hex(), r.std_error.hex(), r.tau, r.n_samples) for r in results]
+def dim_record(s):
+    """Runs at 0, 50, 100 and 1000 of (s, s), (2 s, 3 s), (1, 1) and (0.5, 2):
+    at a small ``s`` the first batches are far dimmer than the window, and
+    the product of their means is below the float range from s = 1e-162."""
+    return DetectorTraces(1.0, 2000, [0, 50, 100, 1000], [[s, s], [2 * s, 3 * s], [1.0, 1.0], [0.5, 2.0]])
+
+
+def test_dim_batches_keep_their_digits():
+    # A dim batch is summed again about its own means in units of their
+    # powers of two, so its products never leave the float range.
+    taus = [0.0, 1.0, 30.0, 99.0, 500.0, 1000.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = scan(dim_record(2.0 ** -300), taus)
+        for e in (400, 600, 800, 1000, 1010):
+            assert bits(scan(dim_record(2.0 ** -e), taus)) == bits(want), e
+        for s in (1e-100, 1e-160, 1e-170, 1e-200, 1e-305):
+            for got, ref in zip(scan(dim_record(s), taus), want):
+                assert np.all(np.abs(got - ref) <= 1e-14 * ref), s
+
+
+def bits(arrays):
+    """The bytes of each row of a scan's values and errors, in that order."""
+    return [row.tobytes() for array in arrays for row in array]
+
+
+def result_bits(results):
+    """``bits`` of one kind's ``CorrelationResult``s."""
+    return bits(np.array([[[r.value for r in results]], [[r.std_error for r in results]]]))
+
+
+@pytest.mark.parametrize("traces", run_records())
+def test_delay_scan_results_are_the_bits_of_scan(traces):
+    taus = [0.0, 1.0, float(traces.n // 3), float(traces.n // 2)]
+    for kind in SCAN_KINDS:
+        results = g2_delay_scan(traces, kind, taus)
+        assert result_bits(results) == bits(scan(traces, taus, (kind,)))
+        assert [(r.tau, r.n_samples) for r in results] == [(tau, traces.n - tau) for tau in taus]
 
 
 @pytest.mark.parametrize("traces", run_records())
 def test_scan_kind_is_the_same_bits_alone_or_shared(traces):
     taus = [0.0, 1.0, float(traces.n // 3), float(traces.n // 2)]
-    alone = {kind: bits(scan(traces, taus, (kind,))[0]) for kind in SCAN_KINDS}
+    alone = {kind: bits(scan(traces, taus, (kind,))) for kind in SCAN_KINDS}
     for size in (2, 3):
         for kinds in itertools.permutations(SCAN_KINDS, size):
-            for kind, results in zip(kinds, scan(traces, taus, kinds)):
-                assert bits(results) == alone[kind], (kinds, kind)
-    assert alone["cross"] == bits(g2_delay_scan(traces, "cross", taus))
-    assert alone["self4"] == bits([g2_self(traces, 4, tau) for tau in taus])
+            values, errors = scan(traces, taus, kinds)
+            for i, kind in enumerate(kinds):
+                assert bits((values[i:i + 1], errors[i:i + 1])) == alone[kind], (kinds, kind)
+    assert alone["self4"] == result_bits([g2_self(traces, 4, tau) for tau in taus])
 
 
 @pytest.mark.parametrize("traces", run_records())
@@ -370,15 +404,14 @@ def test_every_delay_of_a_scan_is_the_bits_of_its_own_scan(traces):
         taus = [float(k) for k in lags]
         for size in (1, 2, 3):
             for kinds in itertools.combinations(SCAN_KINDS, size):
-                alone = [scan(traces, [tau], kinds) for tau in taus]
-                for i, results in enumerate(scan(traces, taus, kinds)):
-                    assert bits(results) == [bits(one[i])[0] for one in alone], (draw, kinds)
+                alone = [np.concatenate(arrays, axis=1) for arrays in zip(*(scan(traces, [tau], kinds) for tau in taus))]
+                assert bits(scan(traces, taus, kinds)) == bits(alone), (draw, kinds)
 
 
 def test_scan_of_no_delays_or_no_kinds():
     tr = constant_traces()
-    assert scan(tr, []) == [[], [], []]
-    assert scan(tr, [0.0, 1e-7], ()) == []
+    assert [a.shape for a in scan(tr, [])] == [(len(SCAN_KINDS), 0)] * 2
+    assert [a.shape for a in scan(tr, [0.0, 1e-7], ())] == [(0, 2)] * 2
 
 
 @pytest.mark.parametrize("call, error, message", [

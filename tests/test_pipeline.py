@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from hbtsim.bench import BenchConfig, mean_intensity
-from hbtsim.correlate import SCAN_KINDS, CorrelationResult, g2_cross, scan
-from hbtsim.pipeline import _combine, detector_streams, estimate_point, simulate_detectors
+from hbtsim import pipeline
+from hbtsim.correlate import SCAN_KINDS, g2_cross, scan
+from hbtsim.pipeline import detector_streams, estimate_point, simulate_detectors
 from hbtsim.source import default_source_config, generate_trace
 
 SRC = default_source_config()
@@ -65,13 +66,13 @@ def test_estimate_point_combines_repeats():
     ]
     expected_value = np.mean([s.value for s in singles])
     expected_err = math.sqrt(sum(s.std_error ** 2 for s in singles)) / 3
-    assert est.g2["cross"][0].value == pytest.approx(expected_value, rel=1e-12)
-    assert est.g2["cross"][0].std_error == pytest.approx(expected_err, rel=1e-12)
-    assert est.g2["cross"][0].n_samples == sum(s.n_samples for s in singles)
+    cross = SCAN_KINDS.index("cross")
+    assert est.g2[cross, 0] == pytest.approx(expected_value, rel=1e-12)
+    assert est.g2_err[cross, 0] == pytest.approx(expected_err, rel=1e-12)
     assert est.taus == (0.0, 1e-5)
     assert est.bench == BENCH
     assert est.bench.phi4 - est.bench.phi3 == pytest.approx(math.pi / 2)
-    assert list(est.g2) == list(SCAN_KINDS)
+    assert est.g2.shape == est.g2_err.shape == (len(SCAN_KINDS), len(taus))
     with pytest.raises(ValueError):
         estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, repeats=0)
 
@@ -90,34 +91,31 @@ def test_repeat_mean_intensity_is_np_mean_and_stays_finite():
 
 
 def test_one_repeat_keeps_its_scan_results():
+    # One repeat is its own scan, bit for bit, where the repeat average's
+    # formula would underflow or overflow the square of an error.
     taus = [0.0, 2e-6, 1e-5]
     est = estimate_point(SRC, BENCH, 2e-3, 1e-7, seed=5, taus=taus, point=4)
-    scans = scan(simulate_detectors(SRC, BENCH, 2e-3, 1e-7, seed=5, point=4), taus)
-    bits = lambda results: [(r.value.hex(), r.std_error.hex(), r.tau, r.n_samples) for r in results]
-    for got, want in zip((est.g2["cross"], est.g2["self3"], est.g2["self4"]), scans):
-        assert bits(got) == bits(want)
+    values, errors = scan(simulate_detectors(SRC, BENCH, 2e-3, 1e-7, seed=5, point=4), taus)
+    assert (est.g2.tobytes(), est.g2_err.tobytes()) == (values.tobytes(), errors.tobytes())
 
 
-def combined_by_formula(results):
-    """The repeat average of ``_combine``, spelled out for any count."""
-    r = len(results)
-    return (
-        sum(x.value for x in results) / r,
-        float(np.sqrt(sum(x.std_error ** 2 for x in results))) / r,
-        sum(x.n_samples for x in results),
-    )
+def combined_by_formula(values, errors):
+    """The repeat average of one cell in Python floats."""
+    r = len(values)
+    return sum(values) / r, float(np.sqrt(sum(e ** 2 for e in errors))) / r
 
 
-@pytest.mark.parametrize("std_error", [0.0, 2.0 ** -511, 1e-3, 0.7, 2.0 ** 512 * (1 - 2.0 ** -53)])
-def test_combine_of_one_repeat_is_the_formula(std_error):
-    one = CorrelationResult(value=1.25, tau=3e-7, n_samples=1000, std_error=std_error)
-    got = _combine((one,))
-    value, err, n_samples = combined_by_formula([one])
-    assert (got.value.hex(), got.std_error.hex(), got.n_samples, got.tau) == (value.hex(), err.hex(), n_samples, one.tau)
-
-
-def test_combine_of_one_repeat_keeps_an_error_whose_square_overflows():
-    one = CorrelationResult(value=1.25, tau=0.0, n_samples=1000, std_error=1e300)
-    with pytest.raises(OverflowError):
-        combined_by_formula([one])
-    assert _combine((one,)).std_error == 1e300
+@pytest.mark.parametrize("values, errors", [
+    ([1.1, 0.9], [0.06744313017236006, 0.003]),
+    ([1.1, 0.9, 1.0 + 2.0 ** -52], [0.06744313017236006, 0.05, 0.045]),
+], ids=["2", "3"])
+def test_repeat_average_is_the_bits_of_the_python_float_formula(monkeypatch, values, errors):
+    # Python's ** squares 0.06744313017236006 through libm pow, one ulp
+    # below the e * e of np.square and np.power(e, 2.0), and here the sum's
+    # root keeps that ulp.
+    scans = iter([(np.full((3, 2), v), np.full((3, 2), e)) for v, e in zip(values, errors)])
+    monkeypatch.setattr(pipeline, "scan", lambda traces, taus: next(scans))
+    est = estimate_point(SRC, BENCH, 2e-4, 1e-7, seed=5, taus=[0.0, 1e-7], repeats=len(values))
+    value, error = combined_by_formula(values, errors)
+    assert est.g2.tobytes() == np.full((3, 2), value).tobytes()
+    assert est.g2_err.tobytes() == np.full((3, 2), error).tobytes()
