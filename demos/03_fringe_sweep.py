@@ -35,10 +35,10 @@ def main():
         phi34 = 2 * math.pi * i / 12
         bench = BenchConfig(phi3=0.0, phi4=phi34)
         traces = simulate_detectors(src, bench, DURATION, DT, seed=100, point=i)
-        est = g2_cross(traces, 0.0)
+        value, error = g2_cross(traces, 0.0)
         oracle = predict_g2(bench)["cross"]
-        print(f"  {math.degrees(phi34):>5.0f}d {est.value:>9.3f} {est.std_error:>7.3f}"
-              f" {oracle:>7.3f}   |{bar(est.value)}")
+        print(f"  {math.degrees(phi34):>5.0f}d {value:>9.3f} {error:>7.3f}"
+              f" {oracle:>7.3f}   |{bar(value)}")
     print()
 
     print("fringe decay with delay at the constructive setting (phi34 = 90 deg)")
@@ -46,9 +46,9 @@ def main():
     traces = simulate_detectors(src, bench, DURATION, DT, seed=7)
     for k in (0.0, 0.5, 1.0, 2.0, 3.0, 5.0):
         tau = k * src.t_c
-        est = g2_cross(traces, tau)
+        value, error = g2_cross(traces, tau)
         oracle = predict_g2(bench, no_jump_probability(src, tau) ** 2)["cross"]
-        print(f"  tau = {k:>3.1f} t_c   g2_cross = {est.value:.3f} +- {est.std_error:.3f}"
+        print(f"  tau = {k:>3.1f} t_c   g2_cross = {value:.3f} +- {error:.3f}"
               f"   oracle = {oracle:.3f}")
     print("\nbeyond t_c the correlation sits at 1: the interference is gone,")
     print("but turning the polariser can never wash it out at tau = 0.")

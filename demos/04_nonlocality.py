@@ -30,10 +30,9 @@ def main():
         phi34 = 2 * math.pi * i / 8
         bench = BenchConfig(phi3=0.0, phi4=phi34)
         traces = simulate_detectors(src, bench, DURATION, DT, seed=55, point=i)
-        cross = g2_cross(traces, 0.0)
-        self4 = g2_self(traces, 4, 0.0)
-        print(f"  {math.degrees(phi34):>5.0f}d | {cross.value:>6.3f}+-{cross.std_error:<5.3f}"
-              f"| {self4.value:>6.3f}+-{self4.std_error:<5.3f}| {mean_intensity(traces, 4):>8.4f}")
+        (cross, cross_err), (self4, self4_err) = g2_cross(traces, 0.0), g2_self(traces, 4, 0.0)
+        print(f"  {math.degrees(phi34):>5.0f}d | {cross:>6.3f}+-{cross_err:<5.3f}"
+              f"| {self4:>6.3f}+-{self4_err:<5.3f}| {mean_intensity(traces)[1]:>8.4f}")
     print()
     print("the fringe lives only in the cross correlation: the self correlation")
     print("loop R-4-L-4 encloses no solid angle, and the mean intensity averages")

@@ -92,14 +92,6 @@ class DetectorTraces(RunLengthRecord):
         return self._expand(self.values[:, 1])
 
 
-def detector_column(which: int) -> int:
-    """The column of ``DetectorTraces.values`` that holds detector ``which``
-    (3 or 4)."""
-    if which not in (3, 4):
-        raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
-    return which - 3
-
-
 def amplitudes(config: BenchConfig) -> np.ndarray:
     """The bench as a 2x2 complex table: ``A[a, j]`` is the amplitude of
     source ``j + 1`` at detector ``a + 3``, so that E_a = sum_j A[a, j] E_j.
@@ -144,12 +136,13 @@ def propagate(
     return DetectorTraces(e1.dt, e1.n, starts, values)
 
 
-def mean_intensity(traces: DetectorTraces, which: int) -> float:
-    """Time-averaged intensity at detector 3 or 4, summed run by run in units
-    of 2**e > n (folded into the counts), so that the sum stays finite."""
+def mean_intensity(traces: DetectorTraces) -> tuple[float, float]:
+    """Time-averaged intensities (<I3>, <I4>) at detectors 3 and 4, each summed
+    run by run in units of 2**e > n (folded into the counts), so that the sum
+    stays finite."""
     _, e = math.frexp(traces.n)
     weights = np.ldexp(traces.counts, -e)
-    return math.ldexp(float((weights * traces.values[:, detector_column(which)]).sum() / traces.n), e)
+    return tuple(math.ldexp(float((weights * column).sum() / traces.n), e) for column in traces.values.T)
 
 
 # --- CSV export/import: "# dt=<seconds>" header, then "i3,i4" rows ---------

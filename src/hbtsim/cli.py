@@ -459,7 +459,7 @@ def cmd_sweep(cfg: RunConfig, out_path, workers: int = 1) -> None:
 
 def cmd_analyze(traces: DetectorTraces, taus, kinds: list[str], out_path) -> None:
     """Run the correlation estimators offline on recorded traces."""
-    cells = _g2_cells(taus, *scan(traces, taus, kinds), mean_intensity(traces, 3), mean_intensity(traces, 4))
+    cells = _g2_cells(taus, *scan(traces, taus, kinds), *mean_intensity(traces))
     write_csv(out_path, "# columns: " + ",".join(_g2_columns(kinds)), map(",".join, cells))
 
 

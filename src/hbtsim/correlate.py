@@ -53,10 +53,11 @@ so no column is centred on its batch means.  A batch where
 would lose more than an ulp of its value to that subtraction, so it alone
 is summed again about its own means, in units of their powers of two so
 that no product underflows.  A kind's results are the same bits whichever
-kinds share its scan; ``g2_cross``, ``g2_self`` and ``g2_delay_scan`` are
-one-kind scans.  Every delay is checked (``delay_lag``) before the first
-lag is scanned, and lags are scanned one at a time, so the temporaries
-stay those of one lag.
+kinds share its scan; ``g2_delay_scan`` is a one-kind scan (its row of
+values and its row of errors), and ``g2_cross`` and ``g2_self`` are
+one-kind, one-delay scans (a value and an error, as floats).  Every delay
+is checked (``delay_lag``) before the first lag is scanned, and lags are
+scanned one at a time, so the temporaries stay those of one lag.
 
 Most of a lag's cost is per call, not per segment, so the small arrays are
 worked in blocks.  The kinds' batch and window means, batch sums, shifts,
@@ -74,12 +75,11 @@ both ran slower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bench import DetectorTraces, detector_column
+from .bench import DetectorTraces
 from .errors import InsufficientDataError, OffGridDelayError
 from .source import FieldTrace, merge_starts
 
@@ -88,22 +88,6 @@ from .source import FieldTrace, merge_starts
 KIND_COLUMNS = {"cross": (0, 1), "self3": (0, 0), "self4": (1, 1)}
 SCAN_KINDS = tuple(KIND_COLUMNS)
 N_BATCHES = 20
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    """Estimated correlation at delay ``tau`` with batch-means standard error."""
-
-    value: float
-    tau: float
-    n_samples: int
-    std_error: float
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        if not (self.std_error >= 0.0):
-            raise ValueError("std_error must be >= 0")
 
 
 def delay_lag(tau: float, dt: float, n: int, n_batches: int = N_BATCHES) -> int:
@@ -248,21 +232,25 @@ def _scan_lag(traces: DetectorTraces, columns, k: int, pairs, values, batch_vals
     batch_vals += 1.0
 
 
-def g2_cross(traces: DetectorTraces, tau: float) -> CorrelationResult:
-    """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window."""
-    return g2_delay_scan(traces, "cross", [tau])[0]
+def g2_cross(traces: DetectorTraces, tau: float) -> tuple[float, float]:
+    """<I3(t) I4(t+tau)> / (<I3><I4>) over the overlap window, and its error."""
+    (value,), (error,) = g2_delay_scan(traces, "cross", [tau])
+    return float(value), float(error)
 
 
-def g2_self(traces: DetectorTraces, which: int, tau: float) -> CorrelationResult:
-    """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4)."""
-    return g2_delay_scan(traces, ("self3", "self4")[detector_column(which)], [tau])[0]
+def g2_self(traces: DetectorTraces, which: int, tau: float) -> tuple[float, float]:
+    """<I_i(t) I_i(t+tau)> / <I_i>^2 for detector ``which`` (3 or 4), and its
+    standard error."""
+    if which not in (3, 4):
+        raise ValueError(f"unknown detector id {which!r}; expected 3 or 4")
+    (value,), (error,) = g2_delay_scan(traces, f"self{which}", [tau])
+    return float(value), float(error)
 
 
-def g2_delay_scan(traces: DetectorTraces, kind: str, taus: Sequence[float]) -> list[CorrelationResult]:
-    """The one-kind ``scan``, one result per delay of ``taus``."""
+def g2_delay_scan(traces: DetectorTraces, kind: str, taus: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The one-kind ``scan``: its values and errors at the delays ``taus``."""
     (values,), (errors,) = scan(traces, taus, (kind,))
-    lags = [delay_lag(tau, traces.dt, traces.n) for tau in taus]
-    return [CorrelationResult(v, k * traces.dt, traces.n - k, e) for k, v, e in zip(lags, values.tolist(), errors.tolist())]
+    return values, errors
 
 
 def first_order_coherence(trace: FieldTrace, tau: float) -> complex:

@@ -87,7 +87,7 @@ def estimate_point(
     for r in range(repeats):
         traces = simulate_detectors(source_cfg, bench_cfg, duration, dt, seed, r, point)
         scans.append(scan(traces, taus))
-        means.append((mean_intensity(traces, 3), mean_intensity(traces, 4)))
+        means.append(mean_intensity(traces))
     # Each detector's mean over the repeats, summed in units of 2**e > repeats so that it stays finite.
     _, e = math.frexp(repeats)
     i3_mean, i4_mean = (math.ldexp(float(np.mean(np.ldexp(v, -e))), e) for v in zip(*means))

@@ -198,13 +198,13 @@ def test_criterion_8_source_statistics():
 
 def test_criterion_9_estimator_identities(tmp_path):
     const = DetectorTraces(1e-7, 1000, [0], [[0.3, 0.9]])
-    exact = g2_cross(const, 0.0).value == 1.0 and g2_self(const, 3, 0.0).value == 1.0
+    exact = g2_cross(const, 0.0)[0] == 1.0 and g2_self(const, 3, 0.0)[0] == 1.0
 
     bench = BenchConfig(phi3=0.0, phi4=math.pi / 2)
     traces = simulate_detectors(SRC, bench, 2e-3, 1e-7, seed=77)
-    base = g2_cross(traces, 0.0).value
+    base = g2_cross(traces, 0.0)[0]
     scaled = DetectorTraces(traces.dt, traces.n, traces.starts, traces.values * [1e5, 3.0])
-    scale_ok = abs(g2_cross(scaled, 0.0).value - base) < 1e-12
+    scale_ok = abs(g2_cross(scaled, 0.0)[0] - base) < 1e-12
 
     trace_path = tmp_path / "sim.csv"
     out_path = tmp_path / "an.csv"
@@ -215,9 +215,7 @@ def test_criterion_9_estimator_identities(tmp_path):
     lines = out_path.read_text().splitlines()
     columns = lines[0][len("# columns: ") :].split(",")
     analyzed = float(lines[1].split(",")[columns.index("g2_cross")])
-    in_process = g2_cross(
-        simulate_detectors(SRC, bench, 2e-3, 1e-7, seed=77), 0.0
-    ).value
+    in_process, _ = g2_cross(simulate_detectors(SRC, bench, 2e-3, 1e-7, seed=77), 0.0)
     roundtrip_ok = analyzed == in_process  # bit-for-bit
 
     ok = exact and scale_ok and roundtrip_ok

@@ -201,10 +201,22 @@ def test_propagate_peaks_below_a_hundred_bytes_per_run():
 
 def test_mean_intensity_basics():
     tr = DetectorTraces(1.0, 8, [0], [[0.3, 0.9]])
-    assert mean_intensity(tr, 3) == pytest.approx(0.3, abs=1e-15)
-    assert mean_intensity(tr, 4) == pytest.approx(0.9, abs=1e-15)
-    with pytest.raises(ValueError):
-        mean_intensity(tr, 5)
+    assert mean_intensity(tr) == pytest.approx((0.3, 0.9), abs=1e-15)
+
+
+@pytest.mark.parametrize("scales", [(1e200, 1e-200), (1e-200, 1e200)])
+def test_mean_intensity_is_the_per_column_sum_at_extreme_intensities(scales):
+    # Each detector's mean is its own column summed run by run in units of
+    # 2**e > n folded into the counts, bit for bit.
+    rng = np.random.default_rng(17)
+    n = 1013
+    starts = np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), 119, replace=False))))
+    tr = DetectorTraces(1e-7, n, starts, rng.exponential(1.0, (120, 2)) * scales)
+    _, e = math.frexp(n)
+    weights = np.ldexp(tr.counts, -e)
+    want = [math.ldexp(float((weights * tr.values[:, c]).sum() / n), e) for c in (0, 1)]
+    got = mean_intensity(tr)
+    assert type(got) is tuple and np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_mean_intensity_matches_quarter_sum(zero_delay_sweep):
@@ -246,11 +258,10 @@ def test_static_arm_phase_invisible_at_zero_delay():
     shifted = simulate_detectors(SRC, cfg1, 2e-2, 1e-7, seed=31)
     assert np.array_equal(base.i4, shifted.i4)
     assert not np.array_equal(base.i3, shifted.i3)
-    a = g2_self(base, 3, 0.0)
-    b = g2_self(shifted, 3, 0.0)
-    assert abs(a.value - b.value) <= 3 * math.hypot(a.std_error, b.std_error)
-    for which in (3, 4):
-        assert abs(mean_intensity(base, which) - mean_intensity(shifted, which)) < 0.03
+    (a, a_err), (b, b_err) = g2_self(base, 3, 0.0), g2_self(shifted, 3, 0.0)
+    assert abs(a - b) <= 3 * math.hypot(a_err, b_err)
+    for mean_base, mean_shifted in zip(mean_intensity(base), mean_intensity(shifted)):
+        assert abs(mean_base - mean_shifted) < 0.03
 
 
 def test_every_kind_agrees_with_oracle_at_random_phases():
@@ -269,8 +280,8 @@ def test_every_kind_agrees_with_oracle_at_random_phases():
         for kind, (value,), (error,) in zip(SCAN_KINDS, values, errors):
             z = (value - oracle[kind]) / error
             assert abs(z) < 5.0, (kind, seed, value, oracle[kind])
-        for which in (3, 4):
-            assert abs(mean_intensity(traces, which) / ((1.0 + balance) / 4.0) - 1.0) < 0.1
+        for mean in mean_intensity(traces):
+            assert abs(mean / ((1.0 + balance) / 4.0) - 1.0) < 0.1
 
 
 @pytest.mark.parametrize("dt", [SRC.t_min, 3 * SRC.t_min, SRC.t_c], ids=["t_min", "3_t_min", "t_c"])

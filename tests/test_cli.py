@@ -786,7 +786,7 @@ def test_analyze_round_trip_matches_pipeline_bitwise(tmp_path, small_cfg_path):
     traces = simulate_detectors(
         cfg.source, cfg.bench, cfg.sim.duration, cfg.sim.dt, cfg.sim.seed
     )
-    expected = g2_cross(traces, 0.0).value
+    expected, _ = g2_cross(traces, 0.0)
     columns, rows = read_rows(out)
     assert len(rows) == 1  # default delay grid is [0]
     got = float(rows[0][columns.index("g2_cross")])
